@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .experiment import MonteCarloConfig, check_conjecture, check_proof_events, run_monte_carlo
 from .graph import GnpParams, read_edge_list, sample_gnp, write_edge_list
-from .spectral import DENSE_LIMIT
 
 OUT_DIR_ENV = "BNCHECK_OUT_DIR"
 
@@ -41,11 +40,7 @@ def _load_graph(path: str):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    result = check_conjecture(
-        _load_graph(args.graph),
-        dense_limit=args.dense_limit,
-        clique_time_budget=args.time_budget,
-    )
+    result = check_conjecture(_load_graph(args.graph), clique_time_budget=args.time_budget)
     _emit(asdict(result))
     return 0
 
@@ -117,7 +112,6 @@ def _cmd_events(args: argparse.Namespace) -> int:
     triple = check_proof_events(
         _load_graph(args.graph),
         BoundParams(args.eps, args.p, args.c0),
-        dense_limit=args.dense_limit,
         clique_time_budget=args.time_budget,
     )
     _emit(asdict(triple))
@@ -132,7 +126,6 @@ def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True, help="edge-list file to read")
-    parser.add_argument("--dense-limit", type=int, default=DENSE_LIMIT, dest="dense_limit")
     parser.add_argument(
         "--time-budget", type=float, default=None, dest="time_budget",
         help="clique search budget in seconds (default: none)",

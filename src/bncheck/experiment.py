@@ -29,6 +29,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -98,15 +99,14 @@ def _inequality_check(n: int, e: int, omega: int, lam1: float, lam2: float) -> I
     )
 
 
-def _event_triple(
-    n: int, e: int, omega: int, lam1: float, lam2: float, params: BoundParams
-) -> EventTriple:
-    x_lhs = lam1 * lam1 + lam2 * lam2
+def _event_triple(check: InequalityCheck, params: BoundParams) -> EventTriple:
+    n = check.n
+    x_lhs = check.lhs
     x_rhs = envelope_sides(n, params)[0]
     y_lhs = 1.0 - math.log(1.0 / params.p) / (2.0 * (1.0 - params.eps) * math.log(n))
-    y_rhs = 1.0 - 1.0 / omega
+    y_rhs = 1.0 - 1.0 / check.omega
     z_lhs = (1.0 - params.eps) * params.p * n * (n - 1) / 2.0
-    z_rhs = float(e)
+    z_rhs = float(check.e)
     return EventTriple(
         event_x=x_lhs <= x_rhs,
         event_y=y_lhs <= y_rhs,
@@ -120,38 +120,35 @@ def _event_triple(
     )
 
 
-def check_conjecture(
-    g: Graph,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-    clique_time_budget: float | None = None,
-) -> InequalityCheck:
-    """Evaluate the inequality on g with certified omega and residual-checked
-    eigenvalues. Raises UncertifiedCliqueError if the clique search times out."""
-    if g.n < 2:
-        raise ValueError("inequality check needs n >= 2")
-    summary = top_two(g, dense_limit=dense_limit)
+def _measure(
+    g: Graph, clique_time_budget: float | None
+) -> tuple[InequalityCheck, bool, float, float]:
+    """Measure g once: the inequality's sides, whether omega is certified, and
+    the seconds spent in `top_two` and in `max_clique`."""
+    t0 = time.perf_counter()
+    summary = top_two(g)
+    t1 = time.perf_counter()
     clique = max_clique(g, time_budget=clique_time_budget)
-    if clique.time_limited:
+    t2 = time.perf_counter()
+    check = _inequality_check(g.n, g.edge_count, clique.omega, summary.lambda1, summary.lambda2)
+    return check, not clique.time_limited, t1 - t0, t2 - t1
+
+
+def check_conjecture(g: Graph, *, clique_time_budget: float | None = None) -> InequalityCheck:
+    """Evaluate the inequality on g with certified omega and residual-checked
+    eigenvalues. Raises ValueError for n < 2, and UncertifiedCliqueError if the
+    clique search times out."""
+    check, certified, _, _ = _measure(g, clique_time_budget)
+    if not certified:
         raise UncertifiedCliqueError("clique search hit its time budget; omega not certified")
-    return _inequality_check(g.n, g.edge_count, clique.omega, summary.lambda1, summary.lambda2)
+    return check
 
 
 def check_proof_events(
-    g: Graph,
-    params: BoundParams,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-    clique_time_budget: float | None = None,
+    g: Graph, params: BoundParams, *, clique_time_budget: float | None = None
 ) -> EventTriple:
     """Evaluate the three event comparisons on g at the given parameters."""
-    if g.n < 2:
-        raise ValueError("event decomposition needs n >= 2")
-    summary = top_two(g, dense_limit=dense_limit)
-    clique = max_clique(g, time_budget=clique_time_budget)
-    if clique.time_limited:
-        raise UncertifiedCliqueError("clique search hit its time budget; omega not certified")
-    return _event_triple(g.n, g.edge_count, clique.omega, summary.lambda1, summary.lambda2, params)
+    return _event_triple(check_conjecture(g, clique_time_budget=clique_time_budget), params)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,6 @@ class MonteCarloConfig:
     eps: float = 0.5
     c0: float = 1.0
     out_dir: str | None = None
-    dense_limit: int = DENSE_LIMIT
     clique_time_budget: float | None = None
 
     def __post_init__(self):
@@ -178,15 +174,21 @@ class MonteCarloConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "MonteCarloConfig":
         """Config document keys: n, p, eps, C0, trials, seed, out_dir,
-        dense_limit, clique_time_budget. Unknown keys are rejected."""
+        clique_time_budget. Unknown keys are rejected. Older documents may
+        also say "dense_limit": 2048; the eigensolver route is fixed by n, so
+        any other value is rejected."""
         data = dict(raw)
+        if data.pop("dense_limit", DENSE_LIMIT) != DENSE_LIMIT:
+            raise ValueError(
+                f"config key 'dense_limit' must be {DENSE_LIMIT} if given; "
+                "the eigensolver route is chosen from n"
+            )
         if "C0" in data and "c0" in data:
             raise ValueError("config sets both 'C0' and 'c0'")
         if "C0" in data:
             data["c0"] = data.pop("C0")
         allowed = {
-            "n", "p", "trials", "seed", "eps", "c0",
-            "out_dir", "dense_limit", "clique_time_budget",
+            "n", "p", "trials", "seed", "eps", "c0", "out_dir", "clique_time_budget",
         }
         unknown = set(data) - allowed
         if unknown:
@@ -206,7 +208,7 @@ class MonteCarloConfig:
             "trials": self.trials,
             "seed": self.seed,
             "out_dir": self.out_dir,
-            "dense_limit": self.dense_limit,
+            "dense_limit": DENSE_LIMIT,
             "clique_time_budget": self.clique_time_budget,
         }
 
@@ -253,29 +255,16 @@ def _run_trial(config: MonteCarloConfig, trial: int) -> TrialRow:
     """One trial: sample, measure, compare. Pure in (config, trial)."""
     seed = derive_trial_seed(config.seed, trial)
     g = sample_gnp(GnpParams(config.n, config.p, seed))
-    t0 = time.perf_counter()
-    summary = top_two(g, dense_limit=config.dense_limit)
-    t1 = time.perf_counter()
-    clique = max_clique(g, time_budget=config.clique_time_budget)
-    t2 = time.perf_counter()
-    params = BoundParams(config.eps, config.p, config.c0)
-    check = _inequality_check(g.n, g.edge_count, clique.omega, summary.lambda1, summary.lambda2)
-    events = _event_triple(
-        g.n, g.edge_count, clique.omega, summary.lambda1, summary.lambda2, params
-    )
+    check, certified, spectral_seconds, clique_seconds = _measure(g, config.clique_time_budget)
     return TrialRow(
         trial=trial,
         seed=seed,
         check=check,
-        events=events,
-        certified=not clique.time_limited,
-        spectral_seconds=t1 - t0,
-        clique_seconds=t2 - t1,
+        events=_event_triple(check, BoundParams(config.eps, config.p, config.c0)),
+        certified=certified,
+        spectral_seconds=spectral_seconds,
+        clique_seconds=clique_seconds,
     )
-
-
-def _worker(args: tuple[MonteCarloConfig, int]) -> TrialRow:
-    return _run_trial(*args)
 
 
 @dataclass(frozen=True)
@@ -320,16 +309,18 @@ def run_monte_carlo(config: MonteCarloConfig, *, threads: int = 1) -> MonteCarlo
     Trials are pure functions of (master seed, trial index, config), so the
     rows, and therefore the output bytes, are independent of the worker count.
     """
-    tasks = [(config, t) for t in range(config.trials)]
     if threads > 1:
         # spawn, not fork: BLAS thread pools in the parent do not survive
         # forking reliably.
         with ProcessPoolExecutor(
             max_workers=threads, mp_context=get_context("spawn")
         ) as pool:
-            rows = list(pool.map(_worker, tasks, chunksize=max(1, config.trials // (8 * threads))))
+            chunksize = max(1, config.trials // (8 * threads))
+            rows = list(
+                pool.map(_run_trial, repeat(config), range(config.trials), chunksize=chunksize)
+            )
     else:
-        rows = [_run_trial(config, t) for t in range(config.trials)]
+        rows = list(map(_run_trial, repeat(config), range(config.trials)))
 
     trials = config.trials
     holds = sum(1 for r in rows if r.check.holds)

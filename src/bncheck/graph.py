@@ -183,14 +183,14 @@ def _gnp_edge_mask(n: int, p: float, seed: int) -> np.ndarray:
     return _splitmix64_outputs(seed, m) < np.uint64(threshold)
 
 
-def sample_gnp(params: GnpParams, *, max_n: int = MAX_VERTICES) -> Graph:
+def sample_gnp(params: GnpParams) -> Graph:
     """Draw G(n,p): each pair {i,j} is an edge independently with probability p.
 
     Deterministic in `params`: identical parameters give bit-identical graphs.
     """
     n = params.n
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the vertex cap {max_n}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
     mask = _gnp_edge_mask(n, params.p, params.seed)
     upper = np.zeros((n, n), dtype=bool)
     upper[np.triu_indices(n, k=1)] = mask
@@ -228,7 +228,7 @@ def make_named(kind: str, n: int, a: int | None = None, b: int | None = None) ->
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def read_edge_list(text: str, *, max_n: int = MAX_VERTICES) -> Graph:
+def read_edge_list(text: str) -> Graph:
     """Parse the DIMACS-style edge-list format.
 
     Format: optional "c ..." comment lines, one "p edge <n> <m>" header, then m
@@ -257,8 +257,8 @@ def read_edge_list(text: str, *, max_n: int = MAX_VERTICES) -> Graph:
                 raise ParseError(line_no, "vertex count must be >= 1")
             if declared < 0:
                 raise ParseError(line_no, "edge count must be >= 0")
-            if n > max_n:
-                raise CapacityError(f"n={n} exceeds the vertex cap {max_n}")
+            if n > MAX_VERTICES:
+                raise CapacityError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(line_no, "edge line before 'p' header")

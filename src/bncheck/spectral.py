@@ -1,12 +1,12 @@
 """Eigenvalues of the adjacency matrix with verified residuals.
 
-Two routes share one contract. The dense route diagonalizes the full symmetric
-matrix (LAPACK via numpy) and is the reference for n up to `DENSE_LIMIT`. The
-iterative route, used above that limit, is a Lanczos iteration with full
-reorthogonalization for the largest eigenpair, followed by a rank-one deflation
-shift and a second Lanczos run for the second largest. Every reported
-eigenvalue comes with an explicitly computed residual ||A v - lambda v||_2,
-checked against tol * max(1, lambda1).
+Two routes share one contract, and n alone picks between them. The dense route
+diagonalizes the full symmetric matrix (LAPACK via numpy) for n up to
+`DENSE_LIMIT`. The iterative route, used above that limit, is a Lanczos
+iteration with full reorthogonalization for the largest eigenpair, followed by
+a rank-one deflation shift and a second Lanczos run for the second largest.
+Every reported eigenvalue comes with an explicitly computed residual
+||A v - lambda v||_2, checked against DEFAULT_TOL * max(1, lambda1).
 """
 
 from __future__ import annotations
@@ -57,16 +57,16 @@ def _dense_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, v, residuals
 
 
-def full_spectrum(g: Graph, *, dense_limit: int = DENSE_LIMIT, tol: float = DEFAULT_TOL) -> list[float]:
+def full_spectrum(g: Graph) -> list[float]:
     """All n adjacency eigenvalues, sorted descending, residual-checked.
 
     The spectrum satisfies sum(w) = trace = 0 and sum(w**2) = 2 e(G) up to
     rounding; tests pin both.
     """
-    if g.n > dense_limit:
-        raise CapacityError(f"n={g.n} exceeds dense_limit={dense_limit}")
+    if g.n > DENSE_LIMIT:
+        raise CapacityError(f"n={g.n} exceeds DENSE_LIMIT={DENSE_LIMIT}")
     w, _, residuals = _dense_eigh(g)
-    bound = tol * max(1.0, float(w[-1]))
+    bound = DEFAULT_TOL * max(1.0, float(w[-1]))
     worst = float(residuals.max())
     if worst > bound:
         raise ConvergenceError("dense eigensolver residual above tolerance", worst)
@@ -84,7 +84,7 @@ def _lanczos_largest(
     n: int,
     start: np.ndarray,
     tol_abs: float,
-    max_matvecs: int,
+    budget: int,
 ) -> tuple[float, np.ndarray, float, int]:
     """Algebraically largest eigenpair of a symmetric operator.
 
@@ -94,7 +94,7 @@ def _lanczos_largest(
     subspace, where the Ritz pair is exact. Raises ConvergenceError with the
     best residual if the matvec budget runs out first.
     """
-    basis = np.empty((min(max_matvecs, n) + 1, n))
+    basis = np.empty((min(budget, n) + 1, n))
     alphas: list[float] = []
     betas: list[float] = []
     q = start / np.linalg.norm(start)
@@ -103,7 +103,7 @@ def _lanczos_largest(
     best_theta = 0.0
     best_res = np.inf
     best_y = q
-    while used < max_matvecs:
+    while used < budget:
         k = len(alphas)
         w = matvec(basis[k])
         used += 1
@@ -173,27 +173,20 @@ def _top_two_iterative(g: Graph, tol: float, max_matvecs: int) -> SpectralSummar
     return SpectralSummary(lam1, lam2, res1, res2, "iterative")
 
 
-def top_two(
-    g: Graph,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-    tol: float = DEFAULT_TOL,
-    max_matvecs: int | None = None,
-) -> SpectralSummary:
+def top_two(g: Graph) -> SpectralSummary:
     """The two algebraically largest adjacency eigenvalues with residuals.
 
-    Dense route for n <= dense_limit (agrees with `full_spectrum` exactly),
+    Dense route for n <= DENSE_LIMIT (agrees with `full_spectrum` exactly),
     Lanczos-with-deflation route above it, same residual contract either way.
     """
     if g.n < 2:
         raise ValueError("top_two needs n >= 2 (lambda2 must exist)")
-    if g.n <= dense_limit:
+    if g.n <= DENSE_LIMIT:
         w, _, residuals = _dense_eigh(g)
         lam1, lam2 = float(w[-1]), float(w[-2])
         res1, res2 = float(residuals[-1]), float(residuals[-2])
-        bound = tol * max(1.0, lam1)
+        bound = DEFAULT_TOL * max(1.0, lam1)
         if max(res1, res2) > bound:
             raise ConvergenceError("dense eigensolver residual above tolerance", max(res1, res2))
         return SpectralSummary(lam1, lam2, res1, res2, "dense")
-    budget = max_matvecs if max_matvecs is not None else MATVEC_CAP_FACTOR * g.n
-    return _top_two_iterative(g, tol, budget)
+    return _top_two_iterative(g, DEFAULT_TOL, MATVEC_CAP_FACTOR * g.n)

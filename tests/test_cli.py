@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bncheck import cli, make_named, read_edge_list, write_edge_list
+from bncheck import MonteCarloConfig, cli, make_named, read_edge_list, write_edge_list
 
 
 def run(capsys, *argv):
@@ -129,6 +129,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "thresholds", "--eps", "0.5")[0] == 2  # missing --p
     assert run(capsys, "sample", "--n", "5")[0] == 2
     assert run(capsys)[0] == 2  # no subcommand
+
+
+def test_dense_limit_is_no_longer_a_setting(capsys):
+    # the eigensolver route follows n; older config documents keep loading
+    doc = {"n": 8, "p": 0.5, "trials": 2}
+    old_doc = {**doc, "dense_limit": 2048}
+    assert MonteCarloConfig.from_dict(old_doc) == MonteCarloConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="dense_limit"):
+        MonteCarloConfig.from_dict({**doc, "dense_limit": 1000})
+    assert run(capsys, "check", "--graph", "g.col", "--dense-limit", "10")[0] == 2
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -143,6 +143,18 @@ def test_triangle_free_samples_always_hold():
     assert seen >= 10  # sparse draws are usually triangle-free
 
 
+@pytest.mark.parametrize("n,p,seed", [(2, 0.5, 3), (12, 0.3, 5), (20, 0.5, 17), (30, 0.7, 99)])
+def test_checker_matches_harness_rows(n, p, seed):
+    params = BoundParams(0.4, p, 2.0)
+    report = run_monte_carlo(
+        MonteCarloConfig(n=n, p=p, trials=4, seed=seed, eps=params.eps, c0=params.c0)
+    )
+    for k, row in enumerate(report.rows):
+        g = sample_gnp(GnpParams(n, p, derive_trial_seed(seed, k)))
+        assert check_conjecture(g) == row.check
+        assert check_proof_events(g, params) == row.events
+
+
 def test_config_from_dict():
     cfg = MonteCarloConfig.from_dict(
         {"n": 10, "p": 0.5, "trials": 3, "C0": 2.0, "eps": 0.4, "seed": 9}

@@ -14,7 +14,7 @@ from bncheck import (
     sample_gnp,
     write_edge_list,
 )
-from bncheck.graph import _gnp_edge_mask, _mix64, _splitmix64_outputs
+from bncheck.graph import MAX_VERTICES, _gnp_edge_mask, _mix64, _splitmix64_outputs
 from bncheck.spectral import adjacency_matrix
 
 
@@ -76,7 +76,7 @@ def test_sample_determinism():
 
 def test_sample_capacity():
     with pytest.raises(CapacityError):
-        sample_gnp(GnpParams(10, 0.5, 1), max_n=9)
+        sample_gnp(GnpParams(MAX_VERTICES + 1, 0.5, 1))
 
 
 def test_sample_symmetry_and_zero_diagonal():
@@ -226,7 +226,7 @@ def test_round_trip_random_graphs():
 
 def test_read_edge_list_capacity():
     with pytest.raises(CapacityError):
-        read_edge_list("p edge 50 0\n", max_n=49)
+        read_edge_list(f"p edge {MAX_VERTICES + 1} 0\n")
 
 
 def test_parallel_sampling_order_independent():

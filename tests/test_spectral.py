@@ -14,12 +14,23 @@ from bncheck import (
     sample_gnp,
     top_two,
 )
-from bncheck.spectral import adjacency_matrix
+from bncheck.spectral import (
+    DEFAULT_TOL,
+    DENSE_LIMIT,
+    MATVEC_CAP_FACTOR,
+    _top_two_iterative,
+    adjacency_matrix,
+)
 
 
 def cycle_eigenvalues(n):
     """2 cos(2 pi k / n), k = 0..n-1, the circulant closed form."""
     return sorted((2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n)), reverse=True)
+
+
+def iterative(g):
+    """The Lanczos route, forced below DENSE_LIMIT, at its default budget."""
+    return _top_two_iterative(g, DEFAULT_TOL, MATVEC_CAP_FACTOR * g.n)
 
 
 def path_eigenvalues(n):
@@ -59,7 +70,7 @@ def test_full_spectrum_is_descending_and_consistent():
 
 def test_full_spectrum_capacity():
     with pytest.raises(CapacityError):
-        full_spectrum(make_named("empty", 10), dense_limit=9)
+        full_spectrum(make_named("empty", DENSE_LIMIT + 1))
 
 
 def test_top_two_requires_two_vertices():
@@ -116,7 +127,7 @@ def test_iterative_matches_dense():
         p = rng.uniform(0.1, 0.8)
         g = sample_gnp(GnpParams(n, p, seed=rng.getrandbits(63)))
         dense = top_two(g)
-        it = top_two(g, dense_limit=32)
+        it = iterative(g)
         assert it.method == "iterative"
         assert abs(it.lambda1 - dense.lambda1) <= 1e-7
         assert abs(it.lambda2 - dense.lambda2) <= 1e-7
@@ -126,18 +137,18 @@ def test_iterative_matches_dense():
 
 def test_iterative_handles_ties_and_degenerate_graphs():
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    s = top_two(two_triangles, dense_limit=3)
+    s = iterative(two_triangles)
     assert abs(s.lambda1 - 2) < 1e-8 and abs(s.lambda2 - 2) < 1e-8
-    s = top_two(make_named("empty", 30), dense_limit=8)
+    s = iterative(make_named("empty", 30))
     assert abs(s.lambda1) < 1e-9 and abs(s.lambda2) < 1e-9
-    s = top_two(make_named("complete", 30), dense_limit=8)
+    s = iterative(make_named("complete", 30))
     assert abs(s.lambda1 - 29) < 1e-7 and abs(s.lambda2 + 1) < 1e-7
-    s = top_two(make_named("complete_bipartite", 40, a=20, b=20), dense_limit=8)
+    s = iterative(make_named("complete_bipartite", 40, a=20, b=20))
     assert abs(s.lambda1 - 20) < 1e-7 and abs(s.lambda2) < 1e-7
 
 
 def test_iterative_kicks_in_past_default_dense_limit():
-    # n just over DENSE_LIMIT takes the Lanczos route under default settings
+    # n just over DENSE_LIMIT takes the Lanczos route
     n, p = 2100, 0.02
     g = sample_gnp(GnpParams(n, p, seed=60))
     s = top_two(g)
@@ -152,7 +163,7 @@ def test_iterative_kicks_in_past_default_dense_limit():
 def test_iterative_budget_exhaustion():
     g = sample_gnp(GnpParams(60, 0.5, seed=4))
     with pytest.raises(ConvergenceError) as info:
-        top_two(g, dense_limit=8, max_matvecs=2)
+        _top_two_iterative(g, DEFAULT_TOL, 2)
     assert info.value.best_residual > 0
 
 
