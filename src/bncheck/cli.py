@@ -118,6 +118,12 @@ def _cmd_events(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, required=True, help="slack parameter in (0,1)")
     parser.add_argument("--p", type=float, required=True, help="edge probability in (0,1)")
@@ -152,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="run the Monte Carlo harness from a JSON config")
     p_mc.add_argument("--config", required=True, help="JSON config path")
-    p_mc.add_argument("--threads", type=int, default=1, help="worker count (results identical)")
+    p_mc.add_argument("--threads", type=_positive, default=1, help="workers (results identical)")
     p_mc.set_defaults(func=_cmd_montecarlo)
 
     p_thresh = sub.add_parser("thresholds", help="envelope crossover thresholds")

@@ -15,7 +15,7 @@ from time import perf_counter
 from typing import Sequence
 
 from .errors import CapacityError
-from .graph import Graph, _bits
+from .graph import Graph, _bit_matrix, _bit_rows, _bits
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -155,15 +155,8 @@ def max_clique(g: Graph, time_budget: float | None = None) -> CliqueResult:
     n = g.n
     order = _degeneracy_order(n, g.rows)
     # Relabel so the degeneracy order is 0..n-1; tightens early color bounds.
-    position = [0] * n
-    for new, old in enumerate(order):
-        position[old] = new
-    adj = [0] * n
-    for old in range(n):
-        row = 0
-        for w in _bits(g.rows[old]):
-            row |= 1 << position[w]
-        adj[position[old]] = row
+    # `take` gathers about twice as fast as `np.ix_` indexing at the vertex cap.
+    adj = _bit_rows(_bit_matrix(n, g.rows).take(order, axis=0).take(order, axis=1))
     deadline = perf_counter() + time_budget if time_budget is not None else None
     search = _Search(adj, _greedy_clique(adj, n), deadline)
     search.expand(0, 0, (1 << n) - 1)
@@ -187,18 +180,9 @@ def max_clique_bruteforce(g: Graph) -> int:
     n = g.n
     if n > BRUTE_FORCE_LIMIT:
         raise CapacityError(f"brute force capped at n={BRUTE_FORCE_LIMIT}, got {n}")
-    rows = g.rows
     omega = 1
     for k in range(2, n + 1):
-        found = False
-        for combo in combinations(range(n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if all(rows[v] & mask == mask ^ (1 << v) for v in combo):
-                found = True
-                break
-        if not found:
+        if not any(is_clique(g, combo) for combo in combinations(range(n), k)):
             break
         omega = k
     return omega

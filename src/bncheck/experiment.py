@@ -28,9 +28,10 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from multiprocessing import get_context
+from numbers import Integral, Real
 from pathlib import Path
 
 from .bounds import BoundParams, envelope_sides, hoeffding_edge_tail, theorem_lower_bound
@@ -40,6 +41,8 @@ from .graph import GnpParams, Graph, derive_trial_seed, sample_gnp
 from .spectral import DENSE_LIMIT, top_two
 
 EQUALITY_TOL = 1e-9
+
+_ANNOTATED_KINDS = {"int": Integral, "float": Real, "str": str, "None": type(None)}
 
 CSV_HEADER = (
     "trial,seed,n,p,e,omega,lambda1,lambda2,lhs,rhs,slack,holds,"
@@ -163,13 +166,17 @@ class MonteCarloConfig:
     clique_time_budget: float | None = None
 
     def __post_init__(self):
+        # Types first, from the annotations; a JSON true or false is no number.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = tuple(_ANNOTATED_KINDS[name] for name in f.type.split(" | "))
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"config key {f.name!r} must be {f.type}")
         if self.n < 2:
             raise ValueError("monte carlo needs n >= 2")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("monte carlo needs 0 < p < 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        BoundParams(self.eps, self.p, self.c0)  # validates eps/c0
+        BoundParams(self.eps, self.p, self.c0)  # validates eps, p and c0
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MonteCarloConfig":
@@ -187,10 +194,7 @@ class MonteCarloConfig:
             raise ValueError("config sets both 'C0' and 'c0'")
         if "C0" in data:
             data["c0"] = data.pop("C0")
-        allowed = {
-            "n", "p", "trials", "seed", "eps", "c0", "out_dir", "clique_time_budget",
-        }
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         missing = {"n", "p", "trials"} - set(data)
@@ -309,6 +313,8 @@ def run_monte_carlo(config: MonteCarloConfig, *, threads: int = 1) -> MonteCarlo
     Trials are pure functions of (master seed, trial index, config), so the
     rows, and therefore the output bytes, are independent of the worker count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if threads > 1:
         # spawn, not fork: BLAS thread pools in the parent do not survive
         # forking reliably.

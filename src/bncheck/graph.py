@@ -25,6 +25,7 @@ import numpy as np
 from .errors import CapacityError, ParseError
 
 MAX_VERTICES = 4096
+_SYMMETRY_BLOCK = 256
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -64,6 +65,23 @@ def _splitmix64_outputs(seed: int, count: int) -> np.ndarray:
     return x
 
 
+def _bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
+    """The n x n uint8 0/1 matrix with entry (i, j) = bit j of rows[i].
+
+    With `_bit_rows`, the only code that knows a row's byte layout (little
+    endian: vertex 8k + b is bit b of byte k). Rows must lie in 0..2**n - 1."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _bit_rows(matrix: np.ndarray) -> list[int]:
+    """Inverse of `_bit_matrix`: one bit-row int per row of a 0/1 or bool matrix."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -86,30 +104,28 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        total_bits = 0
-        upper = 0
         for i, mask in enumerate(rows):
             if mask < 0 or mask >> n:
                 raise ValueError(f"row {i} has bits outside 0..{n - 1}")
-            if (mask >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-            total_bits += mask.bit_count()
-            for j in _bits(mask >> (i + 1)):
-                if not (rows[i + 1 + j] >> i) & 1:
-                    raise ValueError(f"asymmetric adjacency at pair ({i}, {i + 1 + j})")
-                upper += 1
-        if total_bits != 2 * upper:
-            raise ValueError("asymmetric adjacency: unmatched lower-triangle bits")
+        a = _bit_matrix(n, rows)
+        if a.diagonal().any():
+            raise ValueError(f"self-loop at vertex {a.diagonal().argmax()}")
+        # Upper-triangle blocks against their mirrors: no transposed copy of a.
+        for r in range(0, n, _SYMMETRY_BLOCK):
+            for c in range(r, n, _SYMMETRY_BLOCK):
+                block = a[r : r + _SYMMETRY_BLOCK, c : c + _SYMMETRY_BLOCK]
+                mirror = a[c : c + _SYMMETRY_BLOCK, r : r + _SYMMETRY_BLOCK].T
+                if not np.array_equal(block, mirror):
+                    i, j = np.argwhere(block != mirror)[0]  # i < j on a diagonal block
+                    raise ValueError(f"asymmetric adjacency at pair ({r + i}, {c + j})")
         self.n = n
         self.rows = tuple(rows)
-        self.edge_count = upper
+        self.edge_count = int(np.count_nonzero(a)) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             rows[i] |= 1 << j
@@ -127,9 +143,6 @@ class Graph:
         for i in range(self.n):
             for j in _bits(self.rows[i] >> (i + 1)):
                 yield i, i + 1 + j
-
-    def is_complete(self) -> bool:
-        return self.edge_count == self.n * (self.n - 1) // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -171,8 +184,6 @@ class GnpParams:
 def _gnp_edge_mask(n: int, p: float, seed: int) -> np.ndarray:
     """Boolean edge indicators for the n(n-1)/2 pairs in canonical order."""
     m = n * (n - 1) // 2
-    if m == 0:
-        return np.zeros(0, dtype=bool)
     # p is a double, so p * 2**64 is an exact scaling; the comparison below
     # realizes probability floor(p * 2**64) / 2**64.
     threshold = int(p * 2.0**64)
@@ -194,10 +205,7 @@ def sample_gnp(params: GnpParams) -> Graph:
     mask = _gnp_edge_mask(n, params.p, params.seed)
     upper = np.zeros((n, n), dtype=bool)
     upper[np.triu_indices(n, k=1)] = mask
-    full = upper | upper.T
-    packed = np.packbits(full, axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-    return Graph(n, rows)
+    return Graph(n, _bit_rows(upper | upper.T))
 
 
 def make_named(kind: str, n: int, a: int | None = None, b: int | None = None) -> Graph:

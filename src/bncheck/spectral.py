@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, ConvergenceError
-from .graph import Graph, _splitmix64_outputs
+from .graph import Graph, _bit_matrix, _splitmix64_outputs
 
 DENSE_LIMIT = 2048
 DEFAULT_TOL = 1e-9
@@ -42,11 +42,7 @@ class SpectralSummary:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense float64 adjacency matrix built from the bit rows."""
-    nbytes = (g.n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in g.rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(g.n, nbytes)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, : g.n]
-    return bits.astype(np.float64)
+    return _bit_matrix(g.n, g.rows).astype(np.float64)
 
 
 def _dense_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

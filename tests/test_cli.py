@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from bncheck import MonteCarloConfig, cli, make_named, read_edge_list, write_edge_list
+from bncheck import (
+    MonteCarloConfig,
+    cli,
+    make_named,
+    read_edge_list,
+    run_monte_carlo,
+    write_edge_list,
+)
 
 
 def run(capsys, *argv):
@@ -153,6 +160,35 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 8, "p": 0.5, "trials": 2, "typo": 1}))
     assert run(capsys, "montecarlo", "--config", str(cfg_path))[0] == 1
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", "50"), ("n", 50.5), ("trials", 2.5), ("p", "0.5"), ("seed", 1.5),
+     ("clique_time_budget", "x")],
+)
+def test_montecarlo_wrong_json_type_is_an_error_line(tmp_path, capsys, key, value):
+    doc = {"n": 8, "p": 0.5, "trials": 2, "seed": 1, "out_dir": str(tmp_path / "out")}
+    doc[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "montecarlo", "--config", str(cfg_path))
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_montecarlo_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 8, "p": 0.5, "trials": 2, "seed": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+    code, _, err = run(capsys, "montecarlo", "--config", str(cfg_path), "--threads", threads)
+    assert code == 2 and "--threads" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="threads"):
+        run_monte_carlo(MonteCarloConfig(n=8, p=0.5, trials=2), threads=int(threads))
 
 
 def test_help_exits_zero(capsys):

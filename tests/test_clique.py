@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from bncheck import (
@@ -73,6 +74,21 @@ def test_oracle_equivalence_sweep():
         g = sample_gnp(GnpParams(n, p, seed=rng.getrandbits(63)))
         r = max_clique(g)
         assert r.omega == max_clique_bruteforce(g)
+        assert_certified(r, g)
+
+
+@pytest.mark.parametrize("n", [30, 60, 120])
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_omega_matches_networkx_beyond_bruteforce(n, p):
+    # relabelling for the search must not change omega, and the witness comes
+    # back in the original labels
+    for seed in range(2):
+        g = sample_gnp(GnpParams(n, p, seed=1000 * n + seed))
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(g.edges())
+        r = max_clique(g)
+        assert r.omega == nx.max_weight_clique(nxg, weight=None)[1]
         assert_certified(r, g)
 
 

@@ -174,6 +174,17 @@ def test_config_from_dict():
         MonteCarloConfig(n=10, p=0.5, trials=0)
 
 
+def test_config_field_types():
+    doc = {"n": 8, "p": 0.5, "trials": 2}
+    for key, value in [("n", True), ("eps", "0.5"), ("C0", None), ("out_dir", 3),
+                       ("clique_time_budget", [1])]:
+        with pytest.raises(ValueError, match=repr(key.lower())):
+            MonteCarloConfig.from_dict({**doc, key: value})
+    # any real number where a float belongs, and null where a key is optional
+    cfg = MonteCarloConfig.from_dict({**doc, "C0": 2, "clique_time_budget": 2, "out_dir": None})
+    assert cfg.c0 == 2 and cfg.clique_time_budget == 2 and cfg.out_dir is None
+
+
 def test_n2_case_split():
     # at n=2 a draw is either empty (holds) or K2 (violating, complete);
     # holds_fraction must equal the empty-draw fraction exactly

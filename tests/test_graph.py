@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bncheck import (
     CapacityError,
@@ -14,7 +16,14 @@ from bncheck import (
     sample_gnp,
     write_edge_list,
 )
-from bncheck.graph import MAX_VERTICES, _gnp_edge_mask, _mix64, _splitmix64_outputs
+from bncheck.graph import (
+    MAX_VERTICES,
+    _bit_matrix,
+    _bit_rows,
+    _gnp_edge_mask,
+    _mix64,
+    _splitmix64_outputs,
+)
 from bncheck.spectral import adjacency_matrix
 
 
@@ -29,6 +38,60 @@ def test_graph_rejects_bad_rows():
         Graph(3, [0b000, 0b001, 0b000])  # lower-triangle bit without mirror
     with pytest.raises(ValueError, match="outside"):
         Graph(2, [0b100, 0b000])
+
+
+@st.composite
+def symmetric_rows(draw, min_n=1):
+    """Bit rows of a random simple graph on at most 40 vertices."""
+    n = draw(st.integers(min_n, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows = [0] * n
+    for (i, j), edge in zip(pairs, chosen):
+        if edge:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return n, rows, sum(chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_rows())
+def test_codec_round_trip_and_edge_count(drawn):
+    n, rows, upper_bits = drawn
+    matrix = _bit_matrix(n, rows)
+    assert matrix.shape == (n, n) and matrix.dtype == np.uint8
+    assert all(matrix[i, j] == (rows[i] >> j) & 1 for i in range(n) for j in range(n))
+    assert _bit_rows(matrix) == rows
+    assert _bit_rows(matrix.astype(bool)) == rows
+    g = Graph(n, rows)
+    assert g.edge_count == upper_bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_rows(min_n=2), st.data())
+def test_one_flipped_bit_is_rejected(drawn, data):
+    n, rows, _ = drawn
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+    asymmetric = list(rows)
+    asymmetric[i] ^= 1 << j
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(n, asymmetric)
+    looped = list(rows)
+    looped[i] |= 1 << i
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(n, looped)
+
+
+@pytest.mark.parametrize("i,j", [(10, 590), (590, 10), (255, 256), (256, 255)])
+def test_unmatched_bit_found_in_any_symmetry_block(i, j):
+    # n = 600 spans three comparison blocks a side: (10, 590) lies inside an
+    # off-diagonal block, (255, 256) at its corner next to two diagonal blocks
+    rows = list(sample_gnp(GnpParams(600, 0.5, seed=8)).rows)
+    rows[i] ^= 1 << j
+    pair = rf"\({min(i, j)}, {max(i, j)}\)"
+    with pytest.raises(ValueError, match=f"asymmetric adjacency at pair {pair}"):
+        Graph(600, rows)
 
 
 def test_from_edges_and_accessors():
