@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Slack eps in (0,1), edge probability p in (0,1), spectral constant c0 > 0."""
+    """Slack eps in (0,1), edge probability p in (0,1), finite spectral constant c0 > 0."""
 
     eps: float
     p: float
@@ -37,8 +37,8 @@ class BoundParams:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if not self.c0 > 0.0:
-            raise ValueError("c0 must be positive")
+        if not 0.0 < self.c0 < math.inf:
+            raise ValueError("c0 must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -124,6 +125,12 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _seconds(text: str) -> float:
+    if not 0.0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return float(text)
+
+
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, required=True, help="slack parameter in (0,1)")
     parser.add_argument("--p", type=float, required=True, help="edge probability in (0,1)")
@@ -133,7 +140,7 @@ def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
 def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True, help="edge-list file to read")
     parser.add_argument(
-        "--time-budget", type=float, default=None, dest="time_budget",
+        "--time-budget", type=_seconds, default=None, dest="time_budget",
         help="clique search budget in seconds (default: none)",
     )
 

@@ -1,10 +1,11 @@
 """Exact maximum clique via branch-and-bound, plus a brute-force oracle.
 
-The solver is the classic color-bound scheme: vertices are relabeled by a
-degeneracy ordering, candidate sets live in int bit masks, and each search node
-greedily partitions its candidates into color classes. A clique can take at
-most one vertex per class, so size + color is a pruning bound. An optional
-wall-clock budget turns the result into a certified-or-lower-bound answer.
+The solver is the classic color-bound scheme: vertices are relabeled in
+smallest-last order (lowest label on ties), candidate sets live in int bit
+masks, and each search node greedily partitions its candidates into color
+classes. A clique can take at most one vertex per class, so size + color is a
+pruning bound. An optional wall-clock budget turns the result into a
+certified-or-lower-bound answer.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from time import perf_counter
 from typing import Sequence
+
+import numpy as np
 
 from .errors import CapacityError
 from .graph import Graph, _bit_matrix, _bit_rows, _bits
@@ -42,29 +45,18 @@ def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
     return all(g.rows[v] & mask == mask ^ (1 << v) for v in vertices)
 
 
-def _degeneracy_order(n: int, adj: Sequence[int]) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; bucket queue, O(n + m)."""
-    deg = [adj[v].bit_count() for v in range(n)]
-    maxdeg = max(deg)
-    buckets: list[list[int]] = [[] for _ in range(maxdeg + 1)]
-    for v, d in enumerate(deg):
-        buckets[d].append(v)
-    removed = [False] * n
+def _degeneracy_order(a: np.ndarray) -> list[int]:
+    """Smallest-last order of the n x n 0/1 matrix `a`: repeatedly remove a
+    minimum-degree vertex, the lowest label on ties."""
+    n = len(a)
+    deg = a.sum(axis=1, dtype=np.int32)  # int32 halves the update cost of int64
     order = []
-    d = 0
-    while len(order) < n:
-        while not buckets[d]:
-            d += 1
-        v = buckets[d].pop()
-        if removed[v] or deg[v] != d:
-            continue  # stale entry
-        removed[v] = True
+    for _ in range(n):
+        v = int(deg.argmin())
         order.append(v)
-        for w in _bits(adj[v]):
-            if not removed[w]:
-                deg[w] -= 1
-                buckets[deg[w]].append(w)
-        d = max(d - 1, 0)
+        deg -= a[v]
+        # Loses at most n - 1 more, so stays above every live degree (< n).
+        deg[v] = 2 * n
     return order
 
 
@@ -153,10 +145,11 @@ def max_clique(g: Graph, time_budget: float | None = None) -> CliqueResult:
     time_limited=True and omega is only a lower bound (not certified).
     """
     n = g.n
-    order = _degeneracy_order(n, g.rows)
+    a = _bit_matrix(n, g.rows)
+    order = _degeneracy_order(a)
     # Relabel so the degeneracy order is 0..n-1; tightens early color bounds.
     # `take` gathers about twice as fast as `np.ix_` indexing at the vertex cap.
-    adj = _bit_rows(_bit_matrix(n, g.rows).take(order, axis=0).take(order, axis=1))
+    adj = _bit_rows(a.take(order, axis=0).take(order, axis=1))
     deadline = perf_counter() + time_budget if time_budget is not None else None
     search = _Search(adj, _greedy_clique(adj, n), deadline)
     search.expand(0, 0, (1 << n) - 1)

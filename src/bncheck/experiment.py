@@ -172,11 +172,13 @@ class MonteCarloConfig:
             kinds = tuple(_ANNOTATED_KINDS[name] for name in f.type.split(" | "))
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"config key {f.name!r} must be {f.type}")
+        if self.clique_time_budget is not None and not 0 < self.clique_time_budget < math.inf:
+            raise ValueError("config key 'clique_time_budget' must be null or positive and finite")
         if self.n < 2:
             raise ValueError("monte carlo needs n >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        BoundParams(self.eps, self.p, self.c0)  # validates eps, p and c0
+        BoundParams(self.eps, self.p, self.c0)  # eps, p and c0: in range, so finite
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MonteCarloConfig":

@@ -246,8 +246,7 @@ def read_edge_list(text: str) -> Graph:
     """
     n = None
     declared = 0
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0] == "c":
@@ -281,10 +280,9 @@ def read_edge_list(text: str) -> Graph:
             if i == j:
                 raise ParseError(line_no, f"self-loop at vertex {i}")
             pair = (min(i, j) - 1, max(i, j) - 1)
-            if pair in seen:
+            if pair in edges:
                 raise ParseError(line_no, f"duplicate edge ({i}, {j})")
-            seen.add(pair)
-            edges.append(pair)
+            edges.add(pair)
         else:
             raise ParseError(line_no, f"unrecognized line type {parts[0]!r}")
     if n is None:

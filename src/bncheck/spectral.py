@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, ConvergenceError
 from .graph import Graph, _bit_matrix, _splitmix64_outputs
@@ -90,6 +89,7 @@ def _lanczos_largest(
     subspace, where the Ritz pair is exact. Raises ConvergenceError with the
     best residual if the matvec budget runs out first.
     """
+    from scipy.linalg import eigh_tridiagonal  # slow to load; only n > DENSE_LIMIT needs it
     basis = np.empty((min(budget, n) + 1, n))
     alphas: list[float] = []
     betas: list[float] = []

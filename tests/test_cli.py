@@ -191,6 +191,24 @@ def test_montecarlo_threads_below_one_is_a_usage_error(tmp_path, capsys, threads
         run_monte_carlo(MonteCarloConfig(n=8, p=0.5, trials=2), threads=int(threads))
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_bad_time_budget_or_c0_is_refused_before_any_work(tmp_path, capsys, value):
+    graph = tmp_path / "g.col"
+    graph.write_text(write_edge_list(make_named("cycle", 5)))
+    for sub, extra in [("check", []), ("events", ["--eps", "0.5", "--p", "0.5"])]:
+        code, out, err = run(capsys, sub, "--graph", str(graph), "--time-budget", value, *extra)
+        assert code == 2 and "--time-budget" in err and out == ""
+    doc = {"n": 8, "p": 0.5, "trials": 2, "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**doc, "clique_time_budget": float(value)}))
+    code, out, err = run(capsys, "montecarlo", "--config", str(cfg_path))
+    assert code == 1 and "'clique_time_budget'" in err and out == ""
+    assert not (tmp_path / "out").exists()
+    code, out, err = run(capsys, "bounds", "--n", "100", "--eps", "0.5", "--p", "0.5",
+                         "--c0", value)
+    assert code == 1 and "c0" in err and out == ""
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     for sub in ("check", "sample", "montecarlo", "thresholds", "bounds", "events"):

@@ -2,6 +2,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
 
 from bncheck import (
     CapacityError,
@@ -13,6 +14,18 @@ from bncheck import (
     max_clique_bruteforce,
     sample_gnp,
 )
+from bncheck.clique import _degeneracy_order
+from bncheck.graph import _bit_matrix
+from strategies import symmetric_rows
+
+
+def _rows_of(g):
+    return g.n, list(g.rows), g.edge_count
+
+
+def _two_disjoint_k5():
+    k5 = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    return Graph.from_edges(10, k5 + [(i + 5, j + 5) for i, j in k5])
 
 
 def assert_certified(result, g):
@@ -63,6 +76,24 @@ def test_bruteforce_examples():
 def test_bruteforce_capacity():
     with pytest.raises(CapacityError):
         max_clique_bruteforce(make_named("empty", 21))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_rows())
+@example(_rows_of(make_named("empty", 7)))
+@example(_rows_of(make_named("complete", 7)))
+@example(_rows_of(_two_disjoint_k5()))
+def test_degeneracy_order_is_smallest_last(drawn):
+    # each vertex, when removed, has the least degree among the vertices still
+    # there, and the lowest label among those of that degree
+    n, rows, _ = drawn
+    order = _degeneracy_order(_bit_matrix(n, rows))
+    assert sorted(order) == list(range(n))
+    live = (1 << n) - 1
+    for v in order:
+        degree = {u: (rows[u] & live).bit_count() for u in range(n) if live >> u & 1}
+        assert v == min(degree, key=lambda u: (degree[u], u))
+        live ^= 1 << v
 
 
 def test_oracle_equivalence_sweep():

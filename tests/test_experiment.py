@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bncheck import (
     BoundParams,
@@ -19,7 +21,7 @@ from bncheck import (
     run_monte_carlo,
     sample_gnp,
 )
-from bncheck.experiment import CSV_HEADER
+from bncheck.experiment import CSV_HEADER, _inequality_check
 from bncheck.graph import _gnp_edge_mask
 
 
@@ -183,6 +185,35 @@ def test_config_field_types():
     # any real number where a float belongs, and null where a key is optional
     cfg = MonteCarloConfig.from_dict({**doc, "C0": 2, "clique_time_budget": 2, "out_dir": None})
     assert cfg.c0 == 2 and cfg.clique_time_budget == 2 and cfg.out_dir is None
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("clique_time_budget", -1), ("clique_time_budget", 0), ("clique_time_budget", 0.0),
+     ("clique_time_budget", math.nan), ("clique_time_budget", math.inf),
+     ("C0", math.inf), ("C0", -math.inf), ("C0", math.nan),
+     ("eps", math.nan), ("p", math.inf), ("p", math.nan)],
+)
+def test_config_rejects_nonfinite_and_nonpositive(key, value):
+    # a NaN budget would mean no budget, and an infinite C0 is not JSON
+    with pytest.raises(ValueError, match=rf"\b{key.lower()}\b"):
+        MonteCarloConfig.from_dict({"n": 8, "p": 0.5, "trials": 2, key: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checker_is_monotone_in_omega(data):
+    # verdict-first clique bounds rely on this: a larger omega never lowers rhs
+    # or turns a holding graph into a violating one
+    n = data.draw(st.integers(2, 4096))
+    e = data.draw(st.integers(0, n * (n - 1) // 2))
+    lam1 = data.draw(st.floats(0.0, n - 1.0))
+    lam2 = data.draw(st.floats(-(n - 1.0), lam1))
+    low = data.draw(st.integers(1, n - 1))
+    high = data.draw(st.integers(low + 1, n))
+    small, big = (_inequality_check(n, e, w, lam1, lam2) for w in (low, high))
+    assert big.rhs >= small.rhs
+    assert big.holds or not small.holds
 
 
 def test_n2_case_split():

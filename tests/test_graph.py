@@ -25,6 +25,7 @@ from bncheck.graph import (
     _splitmix64_outputs,
 )
 from bncheck.spectral import adjacency_matrix
+from strategies import symmetric_rows
 
 
 def test_graph_rejects_bad_rows():
@@ -38,20 +39,6 @@ def test_graph_rejects_bad_rows():
         Graph(3, [0b000, 0b001, 0b000])  # lower-triangle bit without mirror
     with pytest.raises(ValueError, match="outside"):
         Graph(2, [0b100, 0b000])
-
-
-@st.composite
-def symmetric_rows(draw, min_n=1):
-    """Bit rows of a random simple graph on at most 40 vertices."""
-    n = draw(st.integers(min_n, 40))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    rows = [0] * n
-    for (i, j), edge in zip(pairs, chosen):
-        if edge:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return n, rows, sum(chosen)
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,6 +272,23 @@ def test_round_trip_random_graphs():
     for seed in range(5):
         g = sample_gnp(GnpParams(17, 0.4, seed=seed))
         assert read_edge_list(write_edge_list(g)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_rows(), st.randoms(use_true_random=False))
+def test_edge_list_round_trip_any_line_order(drawn, rnd):
+    # e lines in any order, either endpoint first, with comment lines anywhere
+    n, rows, _ = drawn
+    g = Graph(n, rows)
+    header, *edge_lines = write_edge_list(g).splitlines()
+    rnd.shuffle(edge_lines)
+    lines = [header]
+    for line in edge_lines:
+        _, i, j = line.split()
+        lines.append(f"e {j} {i}" if rnd.random() < 0.5 else line)
+    for _ in range(rnd.randint(0, 5)):
+        lines.insert(rnd.randint(0, len(lines)), "c a comment")
+    assert read_edge_list("\n".join(lines) + "\n") == g
 
 
 def test_read_edge_list_capacity():

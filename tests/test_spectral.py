@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bncheck
 from bncheck import (
     CapacityError,
     ConvergenceError,
@@ -183,3 +188,12 @@ def test_adjacency_matrix_round_trip():
     assert a.sum() == 2 * g.edge_count
     for i, j in g.edges():
         assert a[i, j] == 1.0 and a[j, i] == 1.0
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg takes longer to load than many whole trials; only the
+    # Lanczos route (n > DENSE_LIMIT) needs it
+    src = str(Path(bncheck.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, bncheck; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
