@@ -6,19 +6,24 @@ masks, and each search node greedily partitions its candidates into color
 classes. A clique can take at most one vertex per class, so size + color is a
 pruning bound. An optional wall-clock budget turns the result into a
 certified-or-lower-bound answer.
+
+The bit rows (one Python int per vertex, bit j of row i set iff {i, j} is an
+edge) are the search's private working layout, built by `_bit_rows` from the
+relabelled adjacency matrix; no other module knows how a row maps to bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from time import perf_counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError
-from .graph import Graph, _bit_matrix, _bit_rows, _bits
+from .graph import Graph
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -35,14 +40,26 @@ class CliqueResult:
         return not self.time_limited
 
 
+def _bit_rows(matrix: np.ndarray) -> list[int]:
+    """One bit-row int per row of a 0/1 or bool matrix: bit j of row i is
+    entry (i, j) (little endian: vertex 8k + b is bit b of byte k)."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
-    """Every pair in `vertices` adjacent (vertices distinct)."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    if mask.bit_count() != len(vertices):
-        return False
-    return all(g.rows[v] & mask == mask ^ (1 << v) for v in vertices)
+    """Every pair in `vertices` adjacent (a repeated vertex fails: the diagonal is 0)."""
+    if min(vertices, default=0) < 0:  # numpy would read -1 as vertex n - 1
+        raise ValueError(f"negative vertex in {tuple(vertices)}")
+    a = g.matrix
+    return all(a[v, w] for v, w in combinations(vertices, 2))
 
 
 def _degeneracy_order(a: np.ndarray) -> list[int]:
@@ -142,10 +159,13 @@ def max_clique(g: Graph, time_budget: float | None = None) -> CliqueResult:
     """Exact omega(G) with a witness clique.
 
     With a time budget the search may stop early; the result then carries
-    time_limited=True and omega is only a lower bound (not certified).
+    time_limited=True and omega is only a lower bound (not certified). A budget
+    must be positive and finite; None means no budget.
     """
+    if time_budget is not None and not 0 < time_budget < math.inf:
+        raise ValueError(f"time_budget must be None or positive and finite, got {time_budget}")
     n = g.n
-    a = _bit_matrix(n, g.rows)
+    a = g.matrix
     order = _degeneracy_order(a)
     # Relabel so the degeneracy order is 0..n-1; tightens early color bounds.
     # `take` gathers about twice as fast as `np.ix_` indexing at the vertex cap.

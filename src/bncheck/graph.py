@@ -1,8 +1,9 @@
 """Graph representation, seeded G(n,p) sampling, named families, and edge-list I/O.
 
-Vertices are 0-indexed. Adjacency is stored as one Python int per vertex, bit j
-of row i set iff {i, j} is an edge; intersections and popcounts on these bit
-rows are what make clique search and edge counting word-parallel.
+Vertices are 0-indexed. A graph is stored as its read-only n x n uint8
+adjacency matrix, entry (i, j) = 1 iff {i, j} is an edge: the matrix whose
+eigenvalues, half-sum and all-ones principal submatrices the inequality is
+about. The clique search keeps its own bit-row working layout (see `clique`).
 
 Randomness contract
 -------------------
@@ -18,7 +19,7 @@ identity is part of the output contract: changing it is a breaking change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -55,8 +56,9 @@ def derive_trial_seed(master: int, trial: int) -> int:
 
 def _splitmix64_outputs(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the splitmix64 stream, vectorized (uint64 wraps)."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    x = np.uint64(seed & _MASK64) + idx * np.uint64(_GAMMA)
+    x = np.arange(1, count + 1, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64(seed & _MASK64)
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
@@ -65,49 +67,27 @@ def _splitmix64_outputs(seed: int, count: int) -> np.ndarray:
     return x
 
 
-def _bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
-    """The n x n uint8 0/1 matrix with entry (i, j) = bit j of rows[i].
-
-    With `_bit_rows`, the only code that knows a row's byte layout (little
-    endian: vertex 8k + b is bit b of byte k). Rows must lie in 0..2**n - 1."""
-    nbytes = (n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
-
-
-def _bit_rows(matrix: np.ndarray) -> list[int]:
-    """Inverse of `_bit_matrix`: one bit-row int per row of a 0/1 or bool matrix."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Graph:
     """Simple undirected graph; immutable after construction.
 
-    `rows[i]` is the neighbor set of vertex i as a bit mask. Construction
-    verifies symmetry and a zero diagonal, so every Graph in the system is a
-    valid simple undirected graph.
+    `matrix` is the read-only n x n uint8 0/1 adjacency matrix. Construction
+    copies and verifies it (square, n >= 1, 0/1 entries, zero diagonal,
+    symmetric), so every Graph in the system is a valid simple undirected graph.
     """
 
-    __slots__ = ("n", "rows", "edge_count")
+    __slots__ = ("n", "matrix", "edge_count")
 
-    def __init__(self, n: int, rows: Sequence[int]):
+    def __init__(self, matrix):
+        a = np.asarray(matrix)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+        n = len(a)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(rows) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        for i, mask in enumerate(rows):
-            if mask < 0 or mask >> n:
-                raise ValueError(f"row {i} has bits outside 0..{n - 1}")
-        a = _bit_matrix(n, rows)
+        # Compare, never cast: 2, -1, 0.5 and NaN must not pass as 0 or 1.
+        if a.dtype != bool and not ((a == 0) | (a == 1)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
+        a = a.astype(np.uint8)  # a copy, so the caller's array cannot change the graph
         if a.diagonal().any():
             raise ValueError(f"self-loop at vertex {a.diagonal().argmax()}")
         # Upper-triangle blocks against their mirrors: no transposed copy of a.
@@ -118,39 +98,38 @@ class Graph:
                 if not np.array_equal(block, mirror):
                     i, j = np.argwhere(block != mirror)[0]  # i < j on a diagonal block
                     raise ValueError(f"asymmetric adjacency at pair ({r + i}, {c + j})")
+        a.setflags(write=False)
         self.n = n
-        self.rows = tuple(rows)
+        self.matrix = a
         self.edge_count = int(np.count_nonzero(a)) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        rows = [0] * n
+        a = np.zeros((n, n), dtype=bool)
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return cls(n, rows)
+            a[i, j] = a[j, i] = True
+        return cls(a)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
+        return bool(self.matrix[i, j])
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        return int(np.count_nonzero(self.matrix[i]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) with i < j, row-major over the strict upper triangle."""
-        for i in range(self.n):
-            for j in _bits(self.rows[i] >> (i + 1)):
-                yield i, i + 1 + j
+        i, j = np.nonzero(np.triu(self.matrix, 1))
+        return zip(i.tolist(), j.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash(self.matrix.tobytes())  # n^2 bytes, so the length fixes n
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -205,7 +184,7 @@ def sample_gnp(params: GnpParams) -> Graph:
     mask = _gnp_edge_mask(n, params.p, params.seed)
     upper = np.zeros((n, n), dtype=bool)
     upper[np.triu_indices(n, k=1)] = mask
-    return Graph(n, _bit_rows(upper | upper.T))
+    return Graph(upper | upper.T)
 
 
 def make_named(kind: str, n: int, a: int | None = None, b: int | None = None) -> Graph:
@@ -217,10 +196,9 @@ def make_named(kind: str, n: int, a: int | None = None, b: int | None = None) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "empty":
-        return Graph(n, [0] * n)
+        return Graph(np.zeros((n, n), dtype=bool))
     if kind == "complete":
-        all_bits = (1 << n) - 1
-        return Graph(n, [all_bits ^ (1 << i) for i in range(n)])
+        return Graph(~np.eye(n, dtype=bool))
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError
-from .graph import Graph, _bit_matrix, _splitmix64_outputs
+from .graph import Graph, _splitmix64_outputs
 
 DENSE_LIMIT = 2048
 DEFAULT_TOL = 1e-9
@@ -40,8 +40,8 @@ class SpectralSummary:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense float64 adjacency matrix built from the bit rows."""
-    return _bit_matrix(g.n, g.rows).astype(np.float64)
+    """Dense float64 copy of the graph's adjacency matrix."""
+    return g.matrix.astype(np.float64)
 
 
 def _dense_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,26 +1,30 @@
+import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from bncheck import (
+    BoundParams,
     CapacityError,
     GnpParams,
     Graph,
+    check_conjecture,
+    check_proof_events,
     is_clique,
     make_named,
     max_clique,
     max_clique_bruteforce,
     sample_gnp,
 )
-from bncheck.clique import _degeneracy_order
-from bncheck.graph import _bit_matrix
-from strategies import symmetric_rows
+from bncheck.clique import _bit_rows, _degeneracy_order
+from strategies import symmetric_matrices
 
 
-def _rows_of(g):
-    return g.n, list(g.rows), g.edge_count
+def _drawn(g):
+    return g.matrix, g.edge_count
 
 
 def _two_disjoint_k5():
@@ -78,22 +82,34 @@ def test_bruteforce_capacity():
         max_clique_bruteforce(make_named("empty", 21))
 
 
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices())
+def test_bit_rows_match_matrix(drawn):
+    a, _ = drawn
+    n = len(a)
+    rows = _bit_rows(a)
+    assert rows == _bit_rows(a.astype(bool))
+    assert all(rows[i] >> j & 1 == a[i, j] for i in range(n) for j in range(n))
+    assert all(row >> n == 0 for row in rows)
+
+
 @settings(max_examples=80, deadline=None)
-@given(symmetric_rows())
-@example(_rows_of(make_named("empty", 7)))
-@example(_rows_of(make_named("complete", 7)))
-@example(_rows_of(_two_disjoint_k5()))
+@given(symmetric_matrices())
+@example(_drawn(make_named("empty", 7)))
+@example(_drawn(make_named("complete", 7)))
+@example(_drawn(_two_disjoint_k5()))
 def test_degeneracy_order_is_smallest_last(drawn):
     # each vertex, when removed, has the least degree among the vertices still
     # there, and the lowest label among those of that degree
-    n, rows, _ = drawn
-    order = _degeneracy_order(_bit_matrix(n, rows))
+    a, _ = drawn
+    n = len(a)
+    order = _degeneracy_order(a)
     assert sorted(order) == list(range(n))
-    live = (1 << n) - 1
+    live = np.ones(n, dtype=bool)
     for v in order:
-        degree = {u: (rows[u] & live).bit_count() for u in range(n) if live >> u & 1}
+        degree = {u: int(a[u, live].sum()) for u in np.flatnonzero(live).tolist()}
         assert v == min(degree, key=lambda u: (degree[u], u))
-        live ^= 1 << v
+        live[v] = False
 
 
 def test_oracle_equivalence_sweep():
@@ -158,6 +174,18 @@ def test_time_budget_gives_lower_bound():
     assert len(r.witness) == r.omega
 
 
+@pytest.mark.parametrize("budget", [math.nan, 0, 0.0, -1, math.inf, -math.inf])
+def test_bad_time_budget_is_refused(budget):
+    # a NaN deadline never passes, so it would silently mean "no budget"
+    g = sample_gnp(GnpParams(120, 0.9, seed=1))
+    with pytest.raises(ValueError, match="time_budget"):
+        max_clique(g, time_budget=budget)
+    with pytest.raises(ValueError, match="time_budget"):
+        check_conjecture(g, clique_time_budget=budget)
+    with pytest.raises(ValueError, match="time_budget"):
+        check_proof_events(g, BoundParams(eps=0.5, p=0.9), clique_time_budget=budget)
+
+
 def test_witness_is_always_maximal():
     # no vertex outside the witness may be adjacent to all of it, even for
     # time-limited lower bounds
@@ -189,3 +217,7 @@ def test_is_clique_rejects():
     assert not is_clique(g, (0, 1, 2))
     assert not is_clique(g, (0, 0))  # repeated vertex
     assert is_clique(g, ())
+    with pytest.raises(ValueError, match="negative vertex"):
+        is_clique(g, (0, -1))  # numpy would read -1 as vertex 4, a neighbour of 0
+    with pytest.raises(IndexError):
+        is_clique(g, (0, 5))

@@ -18,67 +18,81 @@ from bncheck import (
 )
 from bncheck.graph import (
     MAX_VERTICES,
-    _bit_matrix,
-    _bit_rows,
     _gnp_edge_mask,
     _mix64,
     _splitmix64_outputs,
 )
 from bncheck.spectral import adjacency_matrix
-from strategies import symmetric_rows
+from strategies import symmetric_matrices
 
 
-def test_graph_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        Graph(0, [])
-    with pytest.raises(ValueError, match="self-loop"):
-        Graph(2, [0b01, 0b01])
-    with pytest.raises(ValueError, match="asymmetric"):
-        Graph(3, [0b010, 0b000, 0b000])
-    with pytest.raises(ValueError, match="asymmetric"):
-        Graph(3, [0b000, 0b001, 0b000])  # lower-triangle bit without mirror
-    with pytest.raises(ValueError, match="outside"):
-        Graph(2, [0b100, 0b000])
-
-
-@settings(max_examples=60, deadline=None)
-@given(symmetric_rows())
-def test_codec_round_trip_and_edge_count(drawn):
-    n, rows, upper_bits = drawn
-    matrix = _bit_matrix(n, rows)
-    assert matrix.shape == (n, n) and matrix.dtype == np.uint8
-    assert all(matrix[i, j] == (rows[i] >> j) & 1 for i in range(n) for j in range(n))
-    assert _bit_rows(matrix) == rows
-    assert _bit_rows(matrix.astype(bool)) == rows
-    g = Graph(n, rows)
-    assert g.edge_count == upper_bits
+@pytest.mark.parametrize(
+    "matrix,fragment",
+    [
+        (np.zeros((0, 0)), "at least one vertex"),
+        (np.zeros(3), "square"),
+        (np.zeros((2, 3)), "square"),
+        ([[0, 2], [2, 0]], "0 or 1"),
+        ([[0, -1], [-1, 0]], "0 or 1"),
+        ([[0, 0.5], [0.5, 0]], "0 or 1"),
+        ([[0, np.nan], [np.nan, 0]], "0 or 1"),
+        ([[1, 0], [1, 0]], "self-loop"),
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], "asymmetric"),
+        ([[0, 0, 0], [1, 0, 0], [0, 0, 0]], "asymmetric"),
+    ],
+    ids=["empty", "1-D", "non-square", "entry 2", "entry -1", "entry 0.5", "entry NaN",
+         "self-loop", "upper entry without mirror", "lower entry without mirror"],
+)
+def test_graph_rejects_bad_matrices(matrix, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Graph(matrix)
 
 
 @settings(max_examples=60, deadline=None)
-@given(symmetric_rows(min_n=2), st.data())
+@given(symmetric_matrices())
+def test_matrix_is_stored_and_counted(drawn):
+    a, edges = drawn
+    g = Graph(a)
+    assert g.n == len(a) and g.edge_count == edges
+    assert g.matrix.dtype == np.uint8 and np.array_equal(g.matrix, a)
+    assert g == Graph(a.astype(bool)) == Graph(a.astype(np.float64)) == Graph(a.tolist())
+
+
+def test_graph_is_immutable():
+    a = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    g = Graph(a)
+    a[0, 1] = a[1, 0] = 0  # the caller's array is not the graph's
+    assert g.has_edge(0, 1) and g.edge_count == 1
+    with pytest.raises(ValueError, match="read-only"):
+        g.matrix[0, 1] = 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices(min_n=2), st.data())
 def test_one_flipped_bit_is_rejected(drawn, data):
-    n, rows, _ = drawn
+    a, _ = drawn
+    n = len(a)
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
-    asymmetric = list(rows)
-    asymmetric[i] ^= 1 << j
+    asymmetric = a.copy()
+    asymmetric[i, j] ^= 1
     with pytest.raises(ValueError, match="asymmetric"):
-        Graph(n, asymmetric)
-    looped = list(rows)
-    looped[i] |= 1 << i
+        Graph(asymmetric)
+    looped = a.copy()
+    looped[i, i] = 1
     with pytest.raises(ValueError, match="self-loop"):
-        Graph(n, looped)
+        Graph(looped)
 
 
 @pytest.mark.parametrize("i,j", [(10, 590), (590, 10), (255, 256), (256, 255)])
 def test_unmatched_bit_found_in_any_symmetry_block(i, j):
     # n = 600 spans three comparison blocks a side: (10, 590) lies inside an
     # off-diagonal block, (255, 256) at its corner next to two diagonal blocks
-    rows = list(sample_gnp(GnpParams(600, 0.5, seed=8)).rows)
-    rows[i] ^= 1 << j
+    a = sample_gnp(GnpParams(600, 0.5, seed=8)).matrix.copy()
+    a[i, j] ^= 1
     pair = rf"\({min(i, j)}, {max(i, j)}\)"
     with pytest.raises(ValueError, match=f"asymmetric adjacency at pair {pair}"):
-        Graph(600, rows)
+        Graph(a)
 
 
 def test_from_edges_and_accessors():
@@ -90,8 +104,11 @@ def test_from_edges_and_accessors():
     assert g == Graph.from_edges(4, [(2, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(3, [(0, 3)])
+    # edge lists taken from numpy, such as np.argwhere, hold numpy integers
+    g = Graph.from_edges(100, [(np.int64(0), np.int64(70))])
+    assert g.has_edge(70, 0) and list(g.edges()) == [(0, 70)]
 
 
 def test_gnp_params_validation():
@@ -119,7 +136,7 @@ def test_sample_endpoints_exact():
 def test_sample_determinism():
     a = sample_gnp(GnpParams(30, 0.4, seed=123456789))
     b = sample_gnp(GnpParams(30, 0.4, seed=123456789))
-    assert a == b and a.rows == b.rows
+    assert a == b and hash(a) == hash(b)
     c = sample_gnp(GnpParams(30, 0.4, seed=123456790))
     assert a != c
 
@@ -275,11 +292,10 @@ def test_round_trip_random_graphs():
 
 
 @settings(max_examples=60, deadline=None)
-@given(symmetric_rows(), st.randoms(use_true_random=False))
+@given(symmetric_matrices(), st.randoms(use_true_random=False))
 def test_edge_list_round_trip_any_line_order(drawn, rnd):
     # e lines in any order, either endpoint first, with comment lines anywhere
-    n, rows, _ = drawn
-    g = Graph(n, rows)
+    g = Graph(drawn[0])
     header, *edge_lines = write_edge_list(g).splitlines()
     rnd.shuffle(edge_lines)
     lines = [header]
