@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bncheck
 from bncheck import (
     BoundParams,
     GnpParams,
@@ -256,6 +261,28 @@ def test_monte_carlo_determinism_and_files(tmp_path):
         assert row.seed == derive_trial_seed(11, row.trial)
     assert r1.holds_fraction == r2.holds_fraction
     assert r1.min_slack == r2.min_slack
+
+
+def test_monte_carlo_bytes_independent_of_blas_threads(tmp_path):
+    # At n >= 300 a second BLAS thread used to move the last digit of
+    # lambda1 and lhs; the dense route now always runs on one.
+    src = str(Path(bncheck.__file__).parents[1])
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    csvs = {}
+    for blas, env in (("unset", unset), ("1", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{blas}-threads{threads}"
+            cfg = tmp_path / f"{out.name}.json"
+            cfg.write_text(json.dumps({"n": 300, "p": 0.1, "trials": 4, "seed": 5,
+                                       "out_dir": str(out)}))
+            subprocess.run(
+                [sys.executable, "-m", "bncheck", "montecarlo", "--config", str(cfg),
+                 "--threads", threads],
+                env={**env, "PYTHONPATH": src}, check=True, capture_output=True,
+            )
+            csvs[out.name] = (out / "trials.csv").read_bytes()
+    assert len(set(csvs.values())) == 1, sorted(csvs)
 
 
 def test_monte_carlo_aggregates_are_exact_counts():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from bncheck.spectral import (
     DEFAULT_TOL,
     DENSE_LIMIT,
     MATVEC_CAP_FACTOR,
+    _openblas_threads,
     _top_two_iterative,
     adjacency_matrix,
 )
@@ -197,3 +199,88 @@ def test_import_leaves_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, bncheck; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_openblas_found_when_numpy_bundles_it():
+    # without the handle the one-thread pin is a silent no-op
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "scipy-openblas" not in blas:
+        pytest.skip(f"numpy is built against {blas}")
+    assert _openblas_threads() is not None
+
+
+@pytest.fixture
+def blas_threads_at_two():
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, set_ = threads
+    found = get()
+    set_(2)
+    yield get
+    set_(found)
+
+
+def test_dense_route_pins_one_blas_thread_and_restores_the_count(blas_threads_at_two, monkeypatch):
+    get = blas_threads_at_two
+    g = sample_gnp(GnpParams(40, 0.5, seed=3))
+    eigh = np.linalg.eigh
+    seen = []
+
+    def counting_eigh(a):
+        seen.append(get())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    top_two(g)
+    full_spectrum(g)
+    assert seen == [1, 1]
+    assert get() == 2
+
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(np.linalg.LinAlgError):
+        top_two(g)
+    assert get() == 2
+
+
+def test_dense_route_without_openblas_is_not_pinned(monkeypatch):
+    monkeypatch.setattr(bncheck.spectral, "_openblas_threads", lambda: None)
+    s = top_two(make_named("complete", 4))
+    assert abs(s.lambda1 - 3) < 1e-12 and abs(s.lambda2 + 1) < 1e-12
+
+
+def test_concurrent_dense_calls_keep_the_pin(blas_threads_at_two, monkeypatch):
+    # The thread count is process-wide: without one pinned section at a time,
+    # one Python thread restores 2 under another's eigh, or saves its 1.
+    get = blas_threads_at_two
+    g = sample_gnp(GnpParams(30, 0.5, seed=4))
+    expected = top_two(g)
+    eigh = np.linalg.eigh
+    seen = []
+
+    def counting_eigh(a):
+        seen.append(get())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    results = []
+
+    def worker():
+        results.extend(top_two(g) for _ in range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == [expected] * 200
+    assert set(seen) == {1} and get() == 2
