@@ -11,7 +11,10 @@ All sampling is driven by the splitmix64 stream (Steele/Lea mixing constants):
 output t of the stream seeded with s is ``mix64(s + (t+1) * GAMMA) mod 2**64``.
 ``sample_gnp`` consumes one 64-bit draw per vertex pair in row-major order over
 the strict upper triangle ((0,1), (0,2), ..., (0,n-1), (1,2), ...), and the pair
-is an edge iff the draw is below ``floor(p * 2**64)``. ``derive_trial_seed`` is
+is an edge iff the draw is below ``floor(p * 2**64)``. It draws the stream in
+blocks of ``_DRAW_BLOCK`` outputs (row blocks, which may end inside a row)
+straight into the adjacency matrix, so the block size changes neither the stream
+order nor any byte of the graph. ``derive_trial_seed`` is
 output ``trial`` of the stream seeded with the master seed. The generator
 identity is part of the output contract: changing it is a breaking change.
 """
@@ -26,7 +29,8 @@ import numpy as np
 from .errors import CapacityError, ParseError
 
 MAX_VERTICES = 4096
-_SYMMETRY_BLOCK = 256
+_TILE = 256  # symmetry is checked and mirrored tile by tile, never by a full transpose
+_DRAW_BLOCK = 1 << 16  # stream outputs drawn at once by sample_gnp: 512 KB of uint64
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -54,9 +58,10 @@ def derive_trial_seed(master: int, trial: int) -> int:
     return _mix64((master + (trial + 1) * _GAMMA) & _MASK64)
 
 
-def _splitmix64_outputs(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of the splitmix64 stream, vectorized (uint64 wraps)."""
-    x = np.arange(1, count + 1, dtype=np.uint64)
+def _splitmix64_outputs(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Outputs start .. start + count - 1 of the splitmix64 stream, vectorized
+    (uint64 wraps)."""
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     x *= np.uint64(_GAMMA)
     x += np.uint64(seed & _MASK64)
     x ^= x >> np.uint64(30)
@@ -65,6 +70,13 @@ def _splitmix64_outputs(seed: int, count: int) -> np.ndarray:
     x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
     return x
+
+
+def _upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, cols) of the _TILE x _TILE tiles on and above the diagonal of an n x n matrix."""
+    for r in range(0, n, _TILE):
+        for c in range(r, n, _TILE):
+            yield slice(r, r + _TILE), slice(c, c + _TILE)
 
 
 class Graph:
@@ -90,14 +102,13 @@ class Graph:
         a = a.astype(np.uint8)  # a copy, so the caller's array cannot change the graph
         if a.diagonal().any():
             raise ValueError(f"self-loop at vertex {a.diagonal().argmax()}")
-        # Upper-triangle blocks against their mirrors: no transposed copy of a.
-        for r in range(0, n, _SYMMETRY_BLOCK):
-            for c in range(r, n, _SYMMETRY_BLOCK):
-                block = a[r : r + _SYMMETRY_BLOCK, c : c + _SYMMETRY_BLOCK]
-                mirror = a[c : c + _SYMMETRY_BLOCK, r : r + _SYMMETRY_BLOCK].T
-                if not np.array_equal(block, mirror):
-                    i, j = np.argwhere(block != mirror)[0]  # i < j on a diagonal block
-                    raise ValueError(f"asymmetric adjacency at pair ({r + i}, {c + j})")
+        # Upper-triangle tiles against their mirrors: no transposed copy of a.
+        for rows, cols in _upper_tiles(n):
+            block, mirror = a[rows, cols], a[cols, rows].T
+            if not np.array_equal(block, mirror):
+                i, j = np.argwhere(block != mirror)[0]  # i < j on a diagonal tile
+                i, j = rows.start + i, cols.start + j
+                raise ValueError(f"asymmetric adjacency at pair ({i}, {j})")
         a.setflags(write=False)
         self.n = n
         self.matrix = a
@@ -160,17 +171,22 @@ class GnpParams:
         return self.p in (0.0, 1.0)
 
 
-def _gnp_edge_mask(n: int, p: float, seed: int) -> np.ndarray:
-    """Boolean edge indicators for the n(n-1)/2 pairs in canonical order."""
-    m = n * (n - 1) // 2
-    # p is a double, so p * 2**64 is an exact scaling; the comparison below
-    # realizes probability floor(p * 2**64) / 2**64.
-    threshold = int(p * 2.0**64)
-    if threshold <= 0:
-        return np.zeros(m, dtype=bool)
-    if threshold >= 1 << 64:
-        return np.ones(m, dtype=bool)
-    return _splitmix64_outputs(seed, m) < np.uint64(threshold)
+def _draw_upper_triangle(a: np.ndarray, seed: int, threshold: np.uint64) -> None:
+    """Set a[i, j] (i < j) to draw < threshold, taking the stream in blocks of
+    _DRAW_BLOCK outputs in pair order; a block may end inside a row."""
+    n = len(a)
+    pairs = n * (n - 1) // 2
+    i, j = 0, 1  # the pair that the next draw decides
+    for start in range(0, pairs, _DRAW_BLOCK):
+        edges = _splitmix64_outputs(seed, min(_DRAW_BLOCK, pairs - start), start) < threshold
+        k = 0
+        while k < len(edges):
+            take = min(n - j, len(edges) - k)
+            a[i, j : j + take] = edges[k : k + take]
+            k += take
+            j += take
+            if j == n:
+                i, j = i + 1, i + 2
 
 
 def sample_gnp(params: GnpParams) -> Graph:
@@ -181,10 +197,17 @@ def sample_gnp(params: GnpParams) -> Graph:
     n = params.n
     if n > MAX_VERTICES:
         raise CapacityError(f"n={n} exceeds the vertex cap {MAX_VERTICES}")
-    mask = _gnp_edge_mask(n, params.p, params.seed)
-    upper = np.zeros((n, n), dtype=bool)
-    upper[np.triu_indices(n, k=1)] = mask
-    return Graph(upper | upper.T)
+    # p is a double, so p * 2**64 is an exact scaling; the comparison realizes
+    # probability floor(p * 2**64) / 2**64.
+    threshold = int(params.p * 2.0**64)
+    if threshold >= 1 << 64:
+        return Graph(~np.eye(n, dtype=bool))
+    a = np.zeros((n, n), dtype=bool)  # bool: Graph skips its 0/1 comparison
+    if threshold > 0:
+        _draw_upper_triangle(a, params.seed, np.uint64(threshold))
+        for rows, cols in _upper_tiles(n):
+            a[cols, rows] |= a[rows, cols].T
+    return Graph(a)
 
 
 def make_named(kind: str, n: int, a: int | None = None, b: int | None = None) -> Graph:

@@ -5,19 +5,23 @@ diagonalizes the full symmetric matrix (LAPACK via numpy) for n up to
 `DENSE_LIMIT`. The iterative route, used above that limit, is a Lanczos
 iteration with full reorthogonalization for the largest eigenpair, followed by
 a rank-one deflation shift and a second Lanczos run for the second largest.
-Every reported eigenvalue comes with an explicitly computed residual
-||A v - lambda v||_2, checked against DEFAULT_TOL * max(1, lambda1).
+It multiplies by a scipy.sparse CSR copy of A when 2e <= n^2 / SPARSE_DIVISOR,
+and by a dense float64 copy otherwise. Every reported eigenvalue comes with an
+explicitly computed residual ||A v - lambda v||_2, checked against
+DEFAULT_TOL * max(1, lambda1).
 
-The dense route runs on one OpenBLAS thread, so its results do not depend on
-the BLAS thread count and pool workers do not compete for cores. The Lanczos
-route keeps the thread count it finds: pinning it costs about 30% at n = 4096.
+The dense route and the CSR side of the Lanczos route run on one OpenBLAS
+thread, so their results do not depend on the BLAS thread count and pool
+workers do not compete for cores. The dense-operator side of the Lanczos route
+keeps the thread count it finds: its matvec is a BLAS product that loses 30-40%
+on one thread at n = 4096.
 """
 
 from __future__ import annotations
 
 import ctypes
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -29,6 +33,10 @@ from .errors import CapacityError, ConvergenceError
 from .graph import Graph, _splitmix64_outputs
 
 DENSE_LIMIT = 2048
+# Lanczos operator rule (see _lanczos_on_csr). At n = 2100 and 4096 the CSR
+# matvec wins up to a density 2e/n^2 of about 0.2 and loses 2-3x at 0.5, so
+# the rule stops well short of the crossover.
+SPARSE_DIVISOR = 8
 DEFAULT_TOL = 1e-9
 MATVEC_CAP_FACTOR = 50
 
@@ -48,9 +56,18 @@ class SpectralSummary:
     method: str  # "dense" or "iterative"
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense float64 copy of the graph's adjacency matrix."""
+def adjacency_matrix(g: Graph, sparse: bool = False):
+    """Float64 copy of the graph's adjacency matrix: a dense ndarray, or with
+    `sparse` a scipy.sparse CSR array with sorted indices."""
+    if sparse:
+        from scipy.sparse import csr_array  # slow to load; only the Lanczos route needs it
+        return csr_array(g.matrix.view(bool), dtype=np.float64)  # bool: a faster nonzero scan
     return g.matrix.astype(np.float64)
+
+
+def _lanczos_on_csr(g: Graph) -> bool:
+    """The Lanczos operator rule: CSR when 2e <= n^2 / SPARSE_DIVISOR, else dense."""
+    return 2 * g.edge_count * SPARSE_DIVISOR <= g.n * g.n
 
 
 @cache
@@ -196,9 +213,14 @@ def _lanczos_largest(
 
 
 def _top_two_iterative(g: Graph, tol: float, max_matvecs: int) -> SpectralSummary:
-    n = g.n
-    a = adjacency_matrix(g)
+    """Lanczos route. The CSR side runs on one OpenBLAS thread (its BLAS work is
+    the small reorthogonalization products); the dense side keeps the count."""
+    sparse = _lanczos_on_csr(g)
+    with _one_blas_thread() if sparse else nullcontext():
+        return _lanczos_top_two(adjacency_matrix(g, sparse=sparse), g.n, tol, max_matvecs)
 
+
+def _lanczos_top_two(a, n: int, tol: float, max_matvecs: int) -> SpectralSummary:
     def mv(x: np.ndarray) -> np.ndarray:
         return a @ x
 

@@ -27,7 +27,7 @@ from bncheck import (
     sample_gnp,
 )
 from bncheck.experiment import CSV_HEADER, _inequality_check
-from bncheck.graph import _gnp_edge_mask
+from reference import gnp_edge_mask
 
 
 def test_p3_equality_case():
@@ -228,7 +228,7 @@ def test_n2_case_split():
     report = run_monte_carlo(cfg)
     # oracle: count empty draws straight off the pair stream
     empties = sum(
-        int(not _gnp_edge_mask(2, 0.5, derive_trial_seed(7, t))[0]) for t in range(100)
+        int(not gnp_edge_mask(2, 0.5, derive_trial_seed(7, t))[0]) for t in range(100)
     )
     assert report.holds_fraction == empties / 100
     assert 0.3 <= report.holds_fraction <= 0.7
@@ -265,24 +265,26 @@ def test_monte_carlo_determinism_and_files(tmp_path):
 
 def test_monte_carlo_bytes_independent_of_blas_threads(tmp_path):
     # At n >= 300 a second BLAS thread used to move the last digit of
-    # lambda1 and lhs; the dense route now always runs on one.
+    # lambda1 and lhs; the dense route (n = 300) and the CSR side of the
+    # Lanczos route (n = 2100, sparse) now always run on one.
     src = str(Path(bncheck.__file__).parents[1])
     blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     unset = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    csvs = {}
-    for blas, env in (("unset", unset), ("1", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{blas}-threads{threads}"
-            cfg = tmp_path / f"{out.name}.json"
-            cfg.write_text(json.dumps({"n": 300, "p": 0.1, "trials": 4, "seed": 5,
-                                       "out_dir": str(out)}))
-            subprocess.run(
-                [sys.executable, "-m", "bncheck", "montecarlo", "--config", str(cfg),
-                 "--threads", threads],
-                env={**env, "PYTHONPATH": src}, check=True, capture_output=True,
-            )
-            csvs[out.name] = (out / "trials.csv").read_bytes()
-    assert len(set(csvs.values())) == 1, sorted(csvs)
+    for n, p, trials in ((300, 0.1, 4), (2100, 0.01, 2)):
+        csvs = {}
+        for blas, env in (("unset", unset), ("1", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            for threads in ("1", "2"):
+                out = tmp_path / f"n{n}-blas{blas}-threads{threads}"
+                cfg = tmp_path / f"{out.name}.json"
+                cfg.write_text(json.dumps({"n": n, "p": p, "trials": trials, "seed": 5,
+                                           "out_dir": str(out)}))
+                subprocess.run(
+                    [sys.executable, "-m", "bncheck", "montecarlo", "--config", str(cfg),
+                     "--threads", threads],
+                    env={**env, "PYTHONPATH": src}, check=True, capture_output=True,
+                )
+                csvs[out.name] = (out / "trials.csv").read_bytes()
+        assert len(set(csvs.values())) == 1, sorted(csvs)
 
 
 def test_monte_carlo_aggregates_are_exact_counts():

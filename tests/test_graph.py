@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from bncheck import (
     sample_gnp,
     write_edge_list,
 )
+import bncheck.graph
 from bncheck.graph import (
     MAX_VERTICES,
-    _gnp_edge_mask,
     _mix64,
     _splitmix64_outputs,
 )
 from bncheck.spectral import adjacency_matrix
+from reference import gnp_edge_mask, gnp_matrix
 from strategies import symmetric_matrices
 
 
@@ -158,14 +160,14 @@ def test_sample_mean_edge_count():
     # law of large numbers: mean e over 1000 seeds within 3% of p*n(n-1)/2
     n, p = 40, 0.5
     expected = p * n * (n - 1) / 2
-    counts = [_gnp_edge_mask(n, p, seed).sum() for seed in range(1000)]
+    counts = [gnp_edge_mask(n, p, seed).sum() for seed in range(1000)]
     mean = sum(counts) / len(counts)
     assert abs(mean - expected) <= 0.03 * expected
 
 
 def test_edge_mask_matches_graph():
     params = GnpParams(12, 0.37, seed=99)
-    mask = _gnp_edge_mask(params.n, params.p, params.seed)
+    mask = gnp_edge_mask(params.n, params.p, params.seed)
     g = sample_gnp(params)
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
     assert [g.has_edge(i, j) for i, j in pairs] == list(mask)
@@ -178,10 +180,32 @@ def test_per_pair_edge_frequency():
     n, p, trials = 20, 0.3, 10000
     total = np.zeros(n * (n - 1) // 2, dtype=np.int64)
     for t in range(trials):
-        total += _gnp_edge_mask(n, p, derive_trial_seed(0, t))
+        total += gnp_edge_mask(n, p, derive_trial_seed(0, t))
     freq = total / trials
     margin = 4.0 * np.sqrt(p * (1 - p) / trials)
     assert np.all(np.abs(freq - p) <= margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, (1 << 64) - 1),
+    block=st.integers(1, 7),
+)
+def test_block_draw_matches_whole_stream(n, p, seed, block):
+    # blocks of a few pairs end inside rows and, often enough, at row ends
+    expected = gnp_matrix(n, p, seed)
+    with mock.patch.object(bncheck.graph, "_DRAW_BLOCK", block):
+        assert np.array_equal(sample_gnp(GnpParams(n, p, seed)).matrix, expected)
+    assert np.array_equal(sample_gnp(GnpParams(n, p, seed)).matrix, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1), start=st.integers(0, 300), count=st.integers(0, 300))
+def test_stream_from_an_offset_is_a_slice_of_the_stream(seed, start, count):
+    whole = _splitmix64_outputs(seed, start + count)
+    assert np.array_equal(_splitmix64_outputs(seed, count, start), whole[start:])
 
 
 def test_vectorized_stream_matches_scalar():

@@ -24,6 +24,8 @@ from bncheck.spectral import (
     DEFAULT_TOL,
     DENSE_LIMIT,
     MATVEC_CAP_FACTOR,
+    SPARSE_DIVISOR,
+    _lanczos_on_csr,
     _openblas_threads,
     _top_two_iterative,
     adjacency_matrix,
@@ -126,8 +128,23 @@ def test_lambda1_bounds():
             assert s.lambda1 >= 1 - 1e-9
 
 
-def test_iterative_matches_dense():
-    # spec-level consistency sweep: 50 random graphs, 64 <= n <= 256
+@pytest.fixture
+def lanczos_operators(monkeypatch):
+    """Type names of the operators the Lanczos route multiplies by."""
+    lanczos = bncheck.spectral._lanczos_top_two
+    seen = []
+
+    def recording(a, *args):
+        seen.append(type(a).__name__)
+        return lanczos(a, *args)
+
+    monkeypatch.setattr(bncheck.spectral, "_lanczos_top_two", recording)
+    return seen
+
+
+def test_iterative_matches_dense(lanczos_operators):
+    # spec-level consistency sweep: 50 random graphs, 64 <= n <= 256, with
+    # densities on both sides of the Lanczos operator rule
     rng = random.Random(314)
     for _ in range(50):
         n = rng.randint(64, 256)
@@ -140,6 +157,7 @@ def test_iterative_matches_dense():
         assert abs(it.lambda2 - dense.lambda2) <= 1e-7
         assert it.residual1 <= 1e-9 * max(1.0, it.lambda1)
         assert it.residual2 <= 1e-9 * max(1.0, it.lambda1)
+    assert set(lanczos_operators) == {"ndarray", "csr_array"}
 
 
 def test_iterative_handles_ties_and_degenerate_graphs():
@@ -154,17 +172,19 @@ def test_iterative_handles_ties_and_degenerate_graphs():
     assert abs(s.lambda1 - 20) < 1e-7 and abs(s.lambda2) < 1e-7
 
 
-def test_iterative_kicks_in_past_default_dense_limit():
-    # n just over DENSE_LIMIT takes the Lanczos route
-    n, p = 2100, 0.02
-    g = sample_gnp(GnpParams(n, p, seed=60))
-    s = top_two(g)
-    assert s.method == "iterative"
-    assert s.residual1 <= 1e-9 * max(1.0, s.lambda1)
-    assert s.residual2 <= 1e-9 * max(1.0, s.lambda1)
-    assert s.lambda2 <= s.lambda1 <= n - 1
-    assert s.lambda1 >= 2 * g.edge_count / n - 1e-9
-    assert abs(s.lambda1 - p * n) <= 0.15 * p * n  # tracks the p*n growth law
+def test_iterative_kicks_in_past_default_dense_limit(lanczos_operators):
+    # n just over DENSE_LIMIT takes the Lanczos route, on either operator
+    n = 2100
+    for p, operator in ((0.02, "csr_array"), (0.5, "ndarray")):
+        g = sample_gnp(GnpParams(n, p, seed=60))
+        s = top_two(g)
+        assert s.method == "iterative"
+        assert lanczos_operators[-1] == operator
+        assert s.residual1 <= 1e-9 * max(1.0, s.lambda1)
+        assert s.residual2 <= 1e-9 * max(1.0, s.lambda1)
+        assert s.lambda2 <= s.lambda1 <= n - 1
+        assert s.lambda1 >= 2 * g.edge_count / n - 1e-9
+        assert abs(s.lambda1 - p * n) <= 0.15 * p * n  # tracks the p*n growth law
 
 
 def test_iterative_budget_exhaustion():
@@ -190,6 +210,18 @@ def test_adjacency_matrix_round_trip():
     assert a.sum() == 2 * g.edge_count
     for i, j in g.edges():
         assert a[i, j] == 1.0 and a[j, i] == 1.0
+    csr = adjacency_matrix(g, sparse=True)
+    assert csr.format == "csr" and csr.dtype == np.float64 and csr.has_sorted_indices
+    assert np.array_equal(csr.toarray(), a)
+
+
+def test_lanczos_operator_rule_is_density_only():
+    # CSR exactly when at most 1/SPARSE_DIVISOR of the n^2 entries are ones
+    n = 64
+    for e, sparse in ((0, True), (n * n // (2 * SPARSE_DIVISOR), True),
+                      (n * n // (2 * SPARSE_DIVISOR) + 1, False), (n * (n - 1) // 2, False)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][:e]
+        assert _lanczos_on_csr(Graph.from_edges(n, pairs)) is sparse
 
 
 def test_import_leaves_scipy_unloaded():
@@ -243,6 +275,23 @@ def test_dense_route_pins_one_blas_thread_and_restores_the_count(blas_threads_at
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(np.linalg.LinAlgError):
         top_two(g)
+    assert get() == 2
+
+
+def test_csr_lanczos_pins_one_blas_thread_and_the_dense_side_does_not(blas_threads_at_two,
+                                                                     monkeypatch):
+    get = blas_threads_at_two
+    lanczos = bncheck.spectral._lanczos_top_two
+    seen = []
+
+    def counting(a, *args):
+        seen.append((type(a).__name__, get()))
+        return lanczos(a, *args)
+
+    monkeypatch.setattr(bncheck.spectral, "_lanczos_top_two", counting)
+    iterative(sample_gnp(GnpParams(100, 0.05, seed=1)))
+    iterative(sample_gnp(GnpParams(100, 0.5, seed=1)))
+    assert seen == [("csr_array", 1), ("ndarray", 2)]
     assert get() == 2
 
 
