@@ -1,24 +1,32 @@
 """Exact maximum clique via branch-and-bound, plus a brute-force oracle.
 
 The solver is the classic color-bound scheme: vertices are relabeled in
-smallest-last order (lowest label on ties), candidate sets live in int bit
-masks, and each search node greedily partitions its candidates into color
-classes. A clique can take at most one vertex per class, so size + color is a
-pruning bound. An optional wall-clock budget turns the result into a
+smallest-last order (lowest label on ties), candidate sets are bitsets, and
+each search node greedily partitions its candidates into color classes. A
+clique can take at most one vertex per class, so size + color is a pruning
+bound. An optional wall-clock budget turns the result into a
 certified-or-lower-bound answer.
 
-The bit rows (one Python int per vertex, bit j of row i set iff {i, j} is an
-edge) are the search's private working layout, built by `_bit_rows` from the
-relabelled adjacency matrix; no other module knows how a row maps to bytes.
+The order is computed here in numpy; the search runs in C (_clique_kernel.c,
+loaded through ctypes), which builds its own relabelled 64-bit bit rows from
+the graph's matrix, so no other module knows the bitset layout. The C file is
+compiled with `cc` on the first search and cached in $XDG_CACHE_HOME/bncheck
+(default ~/.cache/bncheck); there is no other implementation. Ctrl-C during a
+search takes effect only when the search returns; a time budget bounds that.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import subprocess
+import threading
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from time import perf_counter
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +34,8 @@ from .errors import CapacityError
 from .graph import Graph
 
 BRUTE_FORCE_LIMIT = 20
+_KERNEL_SOURCE = Path(__file__).with_name("_clique_kernel.c")
+_KERNEL_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 
 @dataclass(frozen=True)
@@ -40,20 +50,6 @@ class CliqueResult:
         return not self.time_limited
 
 
-def _bit_rows(matrix: np.ndarray) -> list[int]:
-    """One bit-row int per row of a 0/1 or bool matrix: bit j of row i is
-    entry (i, j) (little endian: vertex 8k + b is bit b of byte k)."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
     """Every pair in `vertices` adjacent (a repeated vertex fails: the diagonal is 0)."""
     if min(vertices, default=0) < 0:  # numpy would read -1 as vertex n - 1
@@ -62,126 +58,95 @@ def is_clique(g: Graph, vertices: Sequence[int]) -> bool:
     return all(a[v, w] for v, w in combinations(vertices, 2))
 
 
-def _degeneracy_order(a: np.ndarray) -> list[int]:
+def _degeneracy_order(a: np.ndarray) -> np.ndarray:
     """Smallest-last order of the n x n 0/1 matrix `a`: repeatedly remove a
     minimum-degree vertex, the lowest label on ties."""
     n = len(a)
     deg = a.sum(axis=1, dtype=np.int32)  # int32 halves the update cost of int64
-    order = []
-    for _ in range(n):
-        v = int(deg.argmin())
-        order.append(v)
+    order = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        v = deg.argmin()
+        order[k] = v
         deg -= a[v]
         # Loses at most n - 1 more, so stays above every live degree (< n).
         deg[v] = 2 * n
     return order
 
 
-def _greedy_clique(adj: Sequence[int], n: int, starts: int = 8) -> int:
-    """Cheap initial lower bound: grow a clique by max degree-in-candidates."""
-    best_mask = 0
-    best = 0
-    by_degree = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    for s in by_degree[:starts]:
-        mask = 1 << s
-        cand = adj[s]
-        while cand:
-            pick, score = -1, -1
-            for v in _bits(cand):
-                sc = (adj[v] & cand).bit_count()
-                if sc > score:
-                    score, pick = sc, v
-            mask |= 1 << pick
-            cand &= adj[pick]
-        if mask.bit_count() > best:
-            best, best_mask = mask.bit_count(), mask
-    return best_mask
+@cache
+def _kernel() -> Callable[..., int]:
+    """`bn_max_clique` from _clique_kernel.c, compiled on first use into the
+    user's cache directory under a name that hashes the source and flags.
 
-
-def _greedy_coloring(cand: int, adj: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Partition candidates into independent color classes.
-
-    Returns vertices grouped by ascending color and the color number of each;
-    a clique inside `cand` has at most `color` vertices, which is the bound.
+    Each process (and thread) compiles to a temporary name of its own and
+    renames it into place, so callers that meet an empty cache at once all
+    load a whole file.
     """
-    order: list[int] = []
-    bound: list[int] = []
-    color = 0
-    rest = cand
-    while rest:
-        color += 1
-        avail = rest
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            order.append(v)
-            bound.append(color)
-            rest ^= low
-            avail = (avail ^ low) & ~adj[v]
-    return order, bound
+    # hashlib loads OpenSSL's libcrypto, 3.6 MB of RSS (a tenth of a G(200, 1/2)
+    # worker's peak); the builtin module that hashlib falls back to does not.
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
-
-class _Search:
-    __slots__ = ("adj", "best_size", "best_mask", "nodes", "deadline", "timed_out")
-
-    def __init__(self, adj: Sequence[int], seed_mask: int, deadline: float | None):
-        self.adj = adj
-        self.best_size = seed_mask.bit_count()
-        self.best_mask = seed_mask
-        self.nodes = 0
-        self.deadline = deadline
-        self.timed_out = False
-
-    def expand(self, size: int, members: int, cand: int) -> None:
-        self.nodes += 1
-        if self.deadline is not None and perf_counter() > self.deadline:
-            self.timed_out = True
-            return
-        adj = self.adj
-        order, bound = _greedy_coloring(cand, adj)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= self.best_size:
-                return
-            v = order[i]
-            bit = 1 << v
-            sub = cand & adj[v]
-            if sub:
-                self.expand(size + 1, members | bit, sub)
-                if self.timed_out:
-                    return
-            elif size + 1 > self.best_size:
-                self.best_size = size + 1
-                self.best_mask = members | bit
-            cand ^= bit
+    source = _KERNEL_SOURCE.read_bytes()
+    digest = sha256(source + " ".join(_KERNEL_CFLAGS).encode()).hexdigest()
+    cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bncheck"
+    library = cache_dir / f"clique_kernel-{digest}.so"
+    if not library.exists():
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        partial = cache_dir / f".{library.name}.{os.getpid()}.{threading.get_ident()}"
+        command = ["cc", *_KERNEL_CFLAGS, "-o", str(partial), str(_KERNEL_SOURCE)]
+        try:
+            subprocess.run(command, check=True, capture_output=True, text=True)
+            os.replace(partial, library)
+        except FileNotFoundError:
+            raise RuntimeError(
+                f"exact clique search needs a C compiler: no `cc` on PATH to build "
+                f"{_KERNEL_SOURCE.name} into {cache_dir}"
+            ) from None
+        except subprocess.CalledProcessError as exc:
+            raise RuntimeError(
+                f"`cc` failed to build {_KERNEL_SOURCE.name} into {cache_dir}:\n{exc.stderr}"
+            ) from None
+        finally:
+            partial.unlink(missing_ok=True)
+    search = ctypes.CDLL(str(library)).bn_max_clique
+    search.argtypes = [
+        np.ctypeslib.ndpointer(np.uint8, ndim=2, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        ctypes.c_double,
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE")),
+        ctypes.POINTER(ctypes.c_int64),
+        ctypes.POINTER(ctypes.c_int32),
+    ]
+    search.restype = ctypes.c_int64
+    return search
 
 
 def max_clique(g: Graph, time_budget: float | None = None) -> CliqueResult:
     """Exact omega(G) with a witness clique.
 
     With a time budget the search may stop early; the result then carries
-    time_limited=True and omega is only a lower bound (not certified). A budget
-    must be positive and finite; None means no budget.
+    time_limited=True and omega is only a lower bound (not certified), with a
+    maximal witness. A budget must be positive and finite; None means no budget.
     """
     if time_budget is not None and not 0 < time_budget < math.inf:
         raise ValueError(f"time_budget must be None or positive and finite, got {time_budget}")
-    n = g.n
-    a = g.matrix
-    order = _degeneracy_order(a)
-    # Relabel so the degeneracy order is 0..n-1; tightens early color bounds.
-    # `take` gathers about twice as fast as `np.ix_` indexing at the vertex cap.
-    adj = _bit_rows(a.take(order, axis=0).take(order, axis=1))
-    deadline = perf_counter() + time_budget if time_budget is not None else None
-    search = _Search(adj, _greedy_clique(adj, n), deadline)
-    search.expand(0, 0, (1 << n) - 1)
-    mask = search.best_mask
-    # An interrupted search can leave an extendable clique (tried vertices are
-    # dropped from candidate sets); grow it to maximal so even a lower-bound
-    # witness is never trivially improvable. Certified maxima never extend.
-    for v in range(n):
-        if not (mask >> v) & 1 and adj[v] & mask == mask:
-            mask |= 1 << v
-    witness = tuple(sorted(order[v] for v in _bits(mask)))
-    return CliqueResult(mask.bit_count(), witness, search.nodes, search.timed_out)
+    search = _kernel()
+    order = _degeneracy_order(g.matrix)
+    witness = np.empty(g.n, dtype=np.int64)
+    nodes, timed_out = ctypes.c_int64(), ctypes.c_int32()
+    size = search(
+        g.matrix, g.n, order, time_budget or 0.0, witness, ctypes.byref(nodes), ctypes.byref(timed_out)
+    )
+    if size < 0:
+        raise MemoryError(f"clique search on {g.n} vertices ran out of memory")
+    return CliqueResult(size, tuple(sorted(witness[:size].tolist())), nodes.value, bool(timed_out.value))
 
 
 def max_clique_bruteforce(g: Graph) -> int:

@@ -1,7 +1,9 @@
-"""Whole-stream reference for the G(n,p) draw, which sample_gnp takes in blocks."""
+"""References for the tests: the whole-stream G(n,p) draw, which sample_gnp
+takes in blocks, and the clique search in pure Python."""
 
 import numpy as np
 
+from bncheck.clique import _degeneracy_order
 from bncheck.graph import _splitmix64_outputs
 
 
@@ -21,3 +23,106 @@ def gnp_matrix(n, p, seed):
     upper = np.zeros((n, n), dtype=bool)
     upper[np.triu_indices(n, k=1)] = gnp_edge_mask(n, p, seed)
     return upper | upper.T
+
+
+# Pure-Python clique search: the algorithm of bncheck's C kernel on Python int
+# bit rows, kept to check that the kernel returns the same omega, witness and
+# node count. No time budget.
+
+
+def bit_rows(matrix):
+    """One bit-row int per row of a 0/1 or bool matrix: bit j of row i is
+    entry (i, j) (little endian: vertex 8k + b is bit b of byte k)."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def greedy_clique(adj, n, starts=8):
+    """Cheap initial lower bound: grow a clique by max degree-in-candidates."""
+    best_mask = 0
+    best = 0
+    by_degree = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+    for s in by_degree[:starts]:
+        mask = 1 << s
+        cand = adj[s]
+        while cand:
+            pick, score = -1, -1
+            for v in bits(cand):
+                sc = (adj[v] & cand).bit_count()
+                if sc > score:
+                    score, pick = sc, v
+            mask |= 1 << pick
+            cand &= adj[pick]
+        if mask.bit_count() > best:
+            best, best_mask = mask.bit_count(), mask
+    return best_mask
+
+
+def greedy_coloring(cand, adj):
+    """Partition candidates into independent color classes.
+
+    Returns vertices grouped by ascending color and the color number of each;
+    a clique inside `cand` has at most `color` vertices, which is the bound.
+    """
+    order = []
+    bound = []
+    color = 0
+    rest = cand
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            order.append(v)
+            bound.append(color)
+            rest ^= low
+            avail = (avail ^ low) & ~adj[v]
+    return order, bound
+
+
+class Search:
+    def __init__(self, adj, seed_mask):
+        self.adj = adj
+        self.best_size = seed_mask.bit_count()
+        self.best_mask = seed_mask
+        self.nodes = 0
+
+    def expand(self, size, members, cand):
+        self.nodes += 1
+        adj = self.adj
+        order, bound = greedy_coloring(cand, adj)
+        for i in range(len(order) - 1, -1, -1):
+            if size + bound[i] <= self.best_size:
+                return
+            v = order[i]
+            bit = 1 << v
+            sub = cand & adj[v]
+            if sub:
+                self.expand(size + 1, members | bit, sub)
+            elif size + 1 > self.best_size:
+                self.best_size = size + 1
+                self.best_mask = members | bit
+            cand ^= bit
+
+
+def max_clique(g):
+    """(omega, witness, nodes_explored) of the search on Python int bit rows."""
+    n = g.n
+    order = _degeneracy_order(g.matrix)
+    adj = bit_rows(g.matrix.take(order, axis=0).take(order, axis=1))
+    search = Search(adj, greedy_clique(adj, n))
+    search.expand(0, 0, (1 << n) - 1)
+    mask = search.best_mask
+    for v in range(n):
+        if not (mask >> v) & 1 and adj[v] & mask == mask:
+            mask |= 1 << v
+    witness = tuple(sorted(int(order[v]) for v in bits(mask)))
+    return mask.bit_count(), witness, search.nodes

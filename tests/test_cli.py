@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bncheck
 from bncheck import (
     MonteCarloConfig,
     cli,
@@ -213,3 +218,19 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     for sub in ("check", "sample", "montecarlo", "thresholds", "bounds", "events"):
         assert run(capsys, sub, "--help")[0] == 0
+
+
+def test_check_without_a_compiler_is_an_error_line(tmp_path, petersen_text):
+    graph = tmp_path / "petersen.col"
+    graph.write_text(petersen_text)
+    no_compiler = tmp_path / "empty"
+    no_compiler.mkdir()
+    env = {**os.environ, "PATH": str(no_compiler), "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": str(Path(bncheck.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "bncheck", "check", "--graph", str(graph)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "`cc`" in errors[0] and str(tmp_path / "cache") in errors[0]

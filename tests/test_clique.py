@@ -1,11 +1,22 @@
+import json
 import math
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bncheck
+import reference
 from bncheck import (
     BoundParams,
     CapacityError,
@@ -13,14 +24,20 @@ from bncheck import (
     Graph,
     check_conjecture,
     check_proof_events,
+    derive_trial_seed,
     is_clique,
     make_named,
     max_clique,
     max_clique_bruteforce,
     sample_gnp,
 )
-from bncheck.clique import _bit_rows, _degeneracy_order
+from bncheck import clique
+from bncheck.clique import _degeneracy_order
 from strategies import symmetric_matrices
+
+# n at and around the 64-bit word edges of the kernel's bitsets
+WORD_EDGES = (1, 2, 63, 64, 65, 127, 128, 129)
+SRC = str(Path(bncheck.__file__).parents[1])
 
 
 def _drawn(g):
@@ -80,17 +97,6 @@ def test_bruteforce_examples():
 def test_bruteforce_capacity():
     with pytest.raises(CapacityError):
         max_clique_bruteforce(make_named("empty", 21))
-
-
-@settings(max_examples=60, deadline=None)
-@given(symmetric_matrices())
-def test_bit_rows_match_matrix(drawn):
-    a, _ = drawn
-    n = len(a)
-    rows = _bit_rows(a)
-    assert rows == _bit_rows(a.astype(bool))
-    assert all(rows[i] >> j & 1 == a[i, j] for i in range(n) for j in range(n))
-    assert all(row >> n == 0 for row in rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,8 +170,14 @@ def test_omega_equals_n_iff_complete():
         assert max_clique(almost).omega == n - 1
 
 
+def _beyond_budget():
+    """A graph the exact search cannot finish in 20 s (omega in the thousand
+    range), so a short budget always interrupts it, on any machine."""
+    return sample_gnp(GnpParams(2048, 0.999, seed=12345))
+
+
 def test_time_budget_gives_lower_bound():
-    g = sample_gnp(GnpParams(400, 0.5, seed=12345))
+    g = _beyond_budget()
     r = max_clique(g, time_budget=0.05)
     assert r.time_limited
     assert not r.certified
@@ -189,10 +201,8 @@ def test_bad_time_budget_is_refused(budget):
 def test_witness_is_always_maximal():
     # no vertex outside the witness may be adjacent to all of it, even for
     # time-limited lower bounds
-    cases = [
-        max_clique(sample_gnp(GnpParams(400, 0.5, seed=12345)), time_budget=0.05),
-    ]
-    graphs = [sample_gnp(GnpParams(400, 0.5, seed=12345))]
+    graphs = [_beyond_budget()]
+    cases = [max_clique(graphs[0], time_budget=0.05)]
     for seed in range(10):
         g = sample_gnp(GnpParams(25, 0.5, seed=seed))
         graphs.append(g)
@@ -202,6 +212,54 @@ def test_witness_is_always_maximal():
         for v in range(g.n):
             if v not in members:
                 assert not all(g.has_edge(v, w) for w in r.witness)
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_budget_also_bounds_the_greedy_seed(n):
+    # The greedy seed alone takes seconds on these graphs (5.5 s in Python at
+    # n = 2048, 5.4 s in C at n = 4096); it reads the deadline at every step,
+    # so the budget holds before the search proper starts.
+    g = sample_gnp(GnpParams(n, 0.999, seed=1))
+    clique._kernel()  # a first call may compile the kernel
+    t0 = time.perf_counter()
+    r = max_clique(g, time_budget=0.5)
+    assert time.perf_counter() - t0 < 1.5
+    assert r.time_limited
+    assert is_clique(g, r.witness)
+    outside = np.setdiff1d(np.arange(g.n), r.witness)
+    assert not g.matrix[np.ix_(outside, r.witness)].all(axis=1).any()
+
+
+@st.composite
+def word_edge_graphs(draw):
+    """G(n, p) with n at a word edge or up to 140 and any p in [0, 1]. Above
+    64 vertices p avoids (0.6, 0.995), where the Python reference takes
+    seconds to minutes (G(129, 0.9): 161 s)."""
+    n = draw(st.one_of(st.sampled_from(WORD_EDGES), st.integers(1, 140)))
+    if n <= 64:
+        p = draw(st.floats(0, 1))
+    else:
+        p = draw(st.one_of(st.floats(0, 0.6), st.floats(0.995, 1)))
+    return sample_gnp(GnpParams(n, p, seed=draw(st.integers(0, 2**64 - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_edge_graphs())
+@example(sample_gnp(GnpParams(64, 0.9, seed=1)))
+@example(sample_gnp(GnpParams(65, 0.9, seed=1)))
+@example(sample_gnp(GnpParams(129, 0.5, seed=1)))
+@example(sample_gnp(GnpParams(128, 1.0, seed=1)))
+def test_kernel_matches_python_reference(g):
+    r = max_clique(g)
+    assert not r.time_limited
+    assert (r.omega, r.witness, r.nodes_explored) == reference.max_clique(g)
+
+
+@pytest.mark.parametrize("k", range(2))
+def test_kernel_matches_python_reference_on_criterion_9_graphs(k):
+    g = sample_gnp(GnpParams(400, 0.5, seed=derive_trial_seed(900, k)))
+    r = max_clique(g)
+    assert (r.omega, r.witness, r.nodes_explored) == reference.max_clique(g)
 
 
 def test_witness_is_sorted_original_labels():
@@ -221,3 +279,57 @@ def test_is_clique_rejects():
         is_clique(g, (0, -1))  # numpy would read -1 as vertex 4, a neighbour of 0
     with pytest.raises(IndexError):
         is_clique(g, (0, 5))
+
+
+def _run_python(args, cache, path=None):
+    """A fresh interpreter with `cache` as XDG_CACHE_HOME and, if given, PATH."""
+    env = {**os.environ, "XDG_CACHE_HOME": str(cache), "PYTHONPATH": SRC}
+    if path is not None:
+        env["PATH"] = path
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_kernel_compiles_once_into_the_cache(tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    log = tmp_path / "cc.log"
+    wrapper = bin_dir / "cc"
+    wrapper.write_text(
+        f'#!/bin/sh\necho "$@" >> {shlex.quote(str(log))}\nexec {shlex.quote(shutil.which("cc"))} "$@"\n'
+    )
+    wrapper.chmod(0o755)
+    code = "from bncheck import make_named, max_clique; print(max_clique(make_named('complete', 5)).omega)"
+    for _ in range(2):
+        done = _run_python(["-c", code], tmp_path / "cache", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "5\n"
+    assert len(log.read_text().splitlines()) == 1  # the second process only loads
+    built = list((tmp_path / "cache" / "bncheck").iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"  # no temporary file left
+
+
+def test_two_workers_on_an_empty_cache(tmp_path):
+    # both spawn workers meet an empty cache and compile at once
+    csvs = {}
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads{threads}"
+        cfg = tmp_path / f"threads{threads}.json"
+        cfg.write_text(json.dumps({"n": 40, "p": 0.5, "trials": 12, "seed": 3, "out_dir": str(out)}))
+        done = _run_python(
+            ["-m", "bncheck", "montecarlo", "--config", str(cfg), "--threads", threads],
+            tmp_path / f"cache{threads}",
+        )
+        assert done.returncode == 0, done.stderr
+        csvs[threads] = (out / "trials.csv").read_bytes()
+    assert csvs["2"] == csvs["1"]
+
+
+def test_import_neither_compiles_nor_loads_the_kernel(tmp_path):
+    no_compiler = tmp_path / "empty"
+    no_compiler.mkdir()
+    code = "import bncheck, bncheck.clique as c; assert c._kernel.cache_info().currsize == 0"
+    done = _run_python(["-c", code], tmp_path / "cache", str(no_compiler))
+    assert done.returncode == 0, done.stderr
+    assert not (tmp_path / "cache").exists()
