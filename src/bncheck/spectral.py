@@ -1,10 +1,14 @@
 """Eigenvalues of the adjacency matrix with verified residuals.
 
-Two routes share one contract, and n alone picks between them. The dense route
-diagonalizes the full symmetric matrix (LAPACK via numpy) for n up to
-`DENSE_LIMIT`. The iterative route, used above that limit, is a Lanczos
-iteration with full reorthogonalization for the largest eigenpair, followed by
-a rank-one deflation shift and a second Lanczos run for the second largest.
+Two routes share one contract, and n alone picks between them. The dense route,
+for n up to `DENSE_LIMIT`, reduces the symmetric matrix to tridiagonal form
+once and computes only its top two eigenpairs (LAPACK dsyevr with RANGE='I'
+from the OpenBLAS bundled with numpy; the top two of numpy's full `eigh` when
+numpy bundles none, or when dsyevr returns no pair), so it agrees with
+`full_spectrum` within the residual tolerance. The iterative route, used above
+that limit, is a Lanczos iteration with full reorthogonalization for the
+largest eigenpair, followed by a rank-one deflation shift and a second Lanczos
+run for the second largest.
 It multiplies by a scipy.sparse CSR copy of A when 2e <= n^2 / SPARSE_DIVISOR,
 and by a dense float64 copy otherwise. Every reported eigenvalue comes with an
 explicitly computed residual ||A v - lambda v||_2, checked against
@@ -20,6 +24,7 @@ on one thread at n = 4096.
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -70,9 +75,19 @@ def _lanczos_on_csr(g: Graph) -> bool:
     return 2 * g.edge_count * SPARSE_DIVISOR <= g.n * g.n
 
 
+@dataclass(frozen=True)
+class _OpenBLAS:
+    """Entry points of the OpenBLAS bundled with numpy."""
+
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+    dsyevr: Callable[..., int]  # LAPACKE_dsyevr
+    lapack_int: type  # c_int64 in the 64-bit integer builds, else c_int
+
+
 @cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) for the thread count of the OpenBLAS bundled with numpy.
+def _openblas() -> _OpenBLAS | None:
+    """The thread count get/set pair and LAPACKE_dsyevr of numpy's OpenBLAS.
 
     numpy wheels ship it in numpy.libs (numpy/.dylibs on macOS); its symbols
     carry a "scipy_" prefix and a "64_" suffix in the 64-bit integer builds.
@@ -89,42 +104,83 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
             for suffix in ("64_", ""):
                 get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
                 set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    return get, set_
+                dsyevr = getattr(lib, f"{prefix}LAPACKE_dsyevr{suffix}", None)
+                if get is None or set_ is None or dsyevr is None:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                lapack_int = ctypes.c_int64 if suffix else ctypes.c_int
+                doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+                int_ptr = ctypes.POINTER(lapack_int)
+                dsyevr.restype = lapack_int
+                dsyevr.argtypes = [
+                    ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout, jobz, range, uplo
+                    lapack_int, doubles, lapack_int,  # n, a, lda
+                    ctypes.c_double, ctypes.c_double, lapack_int, lapack_int,  # vl, vu, il, iu
+                    ctypes.c_double, int_ptr, doubles, doubles, lapack_int,  # abstol, m, w, z, ldz
+                    int_ptr,  # isuppz
+                ]
+                return _OpenBLAS(get, set_, dsyevr, lapack_int)
     return None
 
 
 # The thread count is process-wide: one pinned section at a time, so a second
 # Python thread can neither restore it under the first nor save the pinned 1.
-_PIN_LOCK = threading.Lock()
+# Reentrant, so a pinned section may run inside another on the same thread.
+_PIN_LOCK = threading.RLock()
 
 
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
     """Run the body on one OpenBLAS thread, then restore the count found."""
-    threads = _openblas_threads()
-    if threads is None:
+    blas = _openblas()
+    if blas is None:
         yield
         return
-    get, set_ = threads
     with _PIN_LOCK:
-        found = get()
-        set_(1)
+        found = blas.get_threads()
+        blas.set_threads(1)
         try:
             yield
         finally:
-            set_(found)
+            blas.set_threads(found)
 
 
-def _dense_eigh(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) plus residual norms of the top k pairs."""
+_LAPACK_COL_MAJOR = 102
+
+
+def _dsyevr_top_two(blas: _OpenBLAS, a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top two eigenvalues (ascending) of symmetric `a` and their eigenvectors
+    as the columns of an n x 2 array, from one LAPACKE_dsyevr call.
+
+    None when dsyevr reports success but returns fewer than two pairs: its
+    bisection for the index boundary can land inside a cluster of equal
+    eigenvalues, as on K_31 (lambda = -1 thirty times), and then finds none.
+    """
+    n = a.shape[0]
+    work = a.copy()  # dsyevr overwrites it; symmetric, so row- and column-major agree
+    w = np.empty(n)
+    z = np.empty((2, n))  # column-major n x 2, leading dimension n
+    m = blas.lapack_int()
+    isuppz = (blas.lapack_int * 4)()
+    info = blas.dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"U", n, work, n,
+                       0.0, 0.0, n - 1, n, 0.0, m, w, z, n, isuppz)
+    if info != 0:
+        raise ConvergenceError(f"LAPACKE_dsyevr failed with info {info}", math.inf)
+    return (w[:2], z.T) if m.value == 2 else None
+
+
+def _dense_pairs(g: Graph, top_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of all n pairs, or with `top_only` of the top two,
+    plus the residual norm of each pair."""
     a = adjacency_matrix(g)
+    blas = _openblas()
     with _one_blas_thread():
-        w, v = np.linalg.eigh(a)
-        top = v[:, -k:]
-        residuals = np.linalg.norm(a @ top - top * w[-k:], axis=0)
+        pairs = _dsyevr_top_two(blas, a) if top_only and blas is not None else None
+        w, v = pairs if pairs is not None else np.linalg.eigh(a)
+        if top_only:
+            w, v = w[-2:], v[:, -2:]
+        residuals = np.linalg.norm(a @ v - v * w, axis=0)
     return w, residuals
 
 
@@ -136,7 +192,7 @@ def full_spectrum(g: Graph) -> list[float]:
     """
     if g.n > DENSE_LIMIT:
         raise CapacityError(f"n={g.n} exceeds DENSE_LIMIT={DENSE_LIMIT}")
-    w, residuals = _dense_eigh(g, g.n)
+    w, residuals = _dense_pairs(g, top_only=False)
     bound = DEFAULT_TOL * max(1.0, float(w[-1]))
     worst = float(residuals.max())
     if worst > bound:
@@ -253,15 +309,16 @@ def _lanczos_top_two(a, n: int, tol: float, max_matvecs: int) -> SpectralSummary
 def top_two(g: Graph) -> SpectralSummary:
     """The two algebraically largest adjacency eigenvalues with residuals.
 
-    Dense route for n <= DENSE_LIMIT (agrees with `full_spectrum` exactly),
-    Lanczos-with-deflation route above it, same residual contract either way.
+    Dense route for n <= DENSE_LIMIT (agrees with `full_spectrum` within the
+    residual tolerance), Lanczos-with-deflation route above it, same residual
+    contract either way.
     """
     if g.n < 2:
         raise ValueError("top_two needs n >= 2 (lambda2 must exist)")
     if g.n <= DENSE_LIMIT:
-        w, residuals = _dense_eigh(g, 2)
-        lam1, lam2 = float(w[-1]), float(w[-2])
-        res1, res2 = float(residuals[-1]), float(residuals[-2])
+        w, residuals = _dense_pairs(g, top_only=True)
+        lam1, lam2 = float(w[1]) + 0.0, float(w[0]) + 0.0  # + 0.0 turns -0.0 into 0.0
+        res1, res2 = float(residuals[1]), float(residuals[0])
         bound = DEFAULT_TOL * max(1.0, lam1)
         if max(res1, res2) > bound:
             raise ConvergenceError("dense eigensolver residual above tolerance", max(res1, res2))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bncheck
 from bncheck import (
@@ -26,7 +29,8 @@ from bncheck.spectral import (
     MATVEC_CAP_FACTOR,
     SPARSE_DIVISOR,
     _lanczos_on_csr,
-    _openblas_threads,
+    _one_blas_thread,
+    _openblas,
     _top_two_iterative,
     adjacency_matrix,
 )
@@ -105,6 +109,46 @@ def test_top_two_matches_full_spectrum_dense():
         assert s.method == "dense"
         assert abs(s.lambda1 - w[0]) <= 1e-9
         assert abs(s.lambda2 - w[1]) <= 1e-9
+
+
+def two_disjoint_k4():
+    return Graph.from_edges(8, [(b + i, b + j) for b in (0, 4) for i in range(4)
+                                for j in range(i + 1, 4)])
+
+
+@st.composite
+def dense_route_graphs(draw):
+    """G(n, p) with n <= 120, or an edgeless graph, K_n or a star."""
+    n = draw(st.integers(2, 120))
+    kind = draw(st.sampled_from(["gnp", "empty", "complete", "star"]))
+    if kind == "gnp":
+        p = draw(st.floats(0.0, 1.0))
+        return sample_gnp(GnpParams(n, p, seed=draw(st.integers(0, 2**63 - 1))))
+    if kind == "star":
+        return make_named("complete_bipartite", n, a=1, b=n - 1)
+    return make_named(kind, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_route_graphs())
+@example(make_named("empty", 2))
+@example(make_named("complete", 2))
+@example(two_disjoint_k4())  # lambda1 = lambda2 = 3, a repeated top eigenvalue
+@example(make_named("complete", 31))  # dsyevr returns no pair here
+def test_dense_top_two_matches_eigvalsh(g):
+    w = np.linalg.eigvalsh(g.matrix.astype(np.float64))
+    s = top_two(g)
+    tol = 1e-9 * max(1.0, w[-1])
+    assert s.method == "dense"
+    assert abs(s.lambda1 - w[-1]) <= tol and abs(s.lambda2 - w[-2]) <= tol
+    assert max(s.residual1, s.residual2) <= DEFAULT_TOL * max(1.0, s.lambda1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_edgeless_graphs_give_positive_zero(n):
+    # a -0.0 would reach trials.csv as "-0.0"
+    s = top_two(make_named("empty", n))
+    assert (repr(s.lambda1), repr(s.lambda2)) == ("0.0", "0.0")
 
 
 def test_residual_certificates():
@@ -238,19 +282,26 @@ def test_openblas_found_when_numpy_bundles_it():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "scipy-openblas" not in blas:
         pytest.skip(f"numpy is built against {blas}")
-    assert _openblas_threads() is not None
+    blas = _openblas()
+    assert blas is not None and blas.dsyevr is not None
 
 
 @pytest.fixture
 def blas_threads_at_two():
-    threads = _openblas_threads()
-    if threads is None:
+    blas = _openblas()
+    if blas is None:
         pytest.skip("numpy bundles no OpenBLAS")
-    get, set_ = threads
-    found = get()
-    set_(2)
-    yield get
-    set_(found)
+    found = blas.get_threads()
+    blas.set_threads(2)
+    yield blas.get_threads
+    blas.set_threads(found)
+
+
+def watch_dsyevr(monkeypatch, wrapper):
+    """Route the dense top_two's LAPACKE_dsyevr call through wrapper(dsyevr, *args)."""
+    blas = _openblas()
+    watched = dataclasses.replace(blas, dsyevr=lambda *args: wrapper(blas.dsyevr, *args))
+    monkeypatch.setattr(bncheck.spectral, "_openblas", lambda: watched)
 
 
 def test_dense_route_pins_one_blas_thread_and_restores_the_count(blas_threads_at_two, monkeypatch):
@@ -259,22 +310,96 @@ def test_dense_route_pins_one_blas_thread_and_restores_the_count(blas_threads_at
     eigh = np.linalg.eigh
     seen = []
 
+    def counting_dsyevr(dsyevr, *args):
+        seen.append(("dsyevr", get()))
+        return dsyevr(*args)
+
     def counting_eigh(a):
-        seen.append(get())
+        seen.append(("eigh", get()))
         return eigh(a)
 
+    watch_dsyevr(monkeypatch, counting_dsyevr)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     top_two(g)
     full_spectrum(g)
-    assert seen == [1, 1]
+    assert seen == [("dsyevr", 1), ("eigh", 1)]
     assert get() == 2
 
-    def failing_eigh(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def raising_dsyevr(dsyevr, *args):
+        raise OSError("LAPACKE call failed")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    with pytest.raises(np.linalg.LinAlgError):
+    watch_dsyevr(monkeypatch, raising_dsyevr)
+    with pytest.raises(OSError):
         top_two(g)
+    assert get() == 2
+
+    def failing_dsyevr(dsyevr, *args):
+        return 1  # info > 0: the inverse iteration did not converge
+
+    watch_dsyevr(monkeypatch, failing_dsyevr)
+    with pytest.raises(ConvergenceError):
+        top_two(g)
+    assert get() == 2
+
+
+def test_dense_route_takes_eigh_when_dsyevr_returns_no_pair(blas_threads_at_two, monkeypatch):
+    # LAPACK's bisection can land inside a cluster of equal eigenvalues and
+    # report success with no pair, as dsyevr does on K_31
+    s = top_two(make_named("complete", 31))
+    assert abs(s.lambda1 - 30) <= 1e-12 and abs(s.lambda2 + 1) <= 1e-12
+    g = sample_gnp(GnpParams(40, 0.5, seed=3))
+    expected = top_two(g)
+    eigh = np.linalg.eigh
+    seen = []
+
+    def no_pair(dsyevr, *args):
+        seen.append("dsyevr")
+        return 0  # info 0, m left at 0
+
+    def counting_eigh(a):
+        seen.append(("eigh", blas_threads_at_two()))
+        return eigh(a)
+
+    watch_dsyevr(monkeypatch, no_pair)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    s = top_two(g)
+    assert seen == ["dsyevr", ("eigh", 1)]
+    tol = 1e-9 * max(1.0, expected.lambda1)
+    assert abs(s.lambda1 - expected.lambda1) <= tol and abs(s.lambda2 - expected.lambda2) <= tol
+    assert max(s.residual1, s.residual2) <= DEFAULT_TOL * max(1.0, s.lambda1)
+
+
+@pytest.mark.parametrize("pair", [0, 1])  # dsyevr's order: 0 is lambda2, 1 is lambda1
+def test_dense_route_checks_the_residual_of_both_pairs(pair, monkeypatch):
+    if _openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+
+    def perturbed(dsyevr, *args):
+        info = dsyevr(*args)
+        args[14][pair, 0] += 1e-3  # z, row-major 2 x n: one eigenvector per row
+        return info
+
+    watch_dsyevr(monkeypatch, perturbed)
+    with pytest.raises(ConvergenceError):
+        top_two(sample_gnp(GnpParams(40, 0.5, seed=3)))
+
+
+def test_nested_pin_does_not_deadlock(blas_threads_at_two):
+    get = blas_threads_at_two
+    g = sample_gnp(GnpParams(40, 0.5, seed=3))
+    expected = top_two(g)
+    results, inside = [], []
+
+    def nested():
+        with _one_blas_thread():
+            results.append(top_two(g))
+            inside.append(get())
+
+    worker = threading.Thread(target=nested, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert results == [expected] and inside == [1]
     assert get() == 2
 
 
@@ -296,25 +421,44 @@ def test_csr_lanczos_pins_one_blas_thread_and_the_dense_side_does_not(blas_threa
 
 
 def test_dense_route_without_openblas_is_not_pinned(monkeypatch):
-    monkeypatch.setattr(bncheck.spectral, "_openblas_threads", lambda: None)
+    # without the bundled library the dense top_two takes the top two of eigh
+    graphs = [sample_gnp(GnpParams(n, 0.5, seed=n)) for n in (2, 30, 200)]
+    graphs += [make_named("empty", 3), two_disjoint_k4()]
+    expected = [top_two(g) for g in graphs]
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(bncheck.spectral, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for g, want in zip(graphs, expected):
+        s = top_two(g)
+        tol = 1e-9 * max(1.0, want.lambda1)
+        assert s.method == "dense"
+        assert abs(s.lambda1 - want.lambda1) <= tol and abs(s.lambda2 - want.lambda2) <= tol
+        assert max(s.residual1, s.residual2) <= DEFAULT_TOL * max(1.0, s.lambda1)
+    assert calls == [g.n for g in graphs]
+    assert repr(top_two(make_named("empty", 2)).lambda2) == "0.0"
     s = top_two(make_named("complete", 4))
     assert abs(s.lambda1 - 3) < 1e-12 and abs(s.lambda2 + 1) < 1e-12
 
 
 def test_concurrent_dense_calls_keep_the_pin(blas_threads_at_two, monkeypatch):
     # The thread count is process-wide: without one pinned section at a time,
-    # one Python thread restores 2 under another's eigh, or saves its 1.
+    # one Python thread restores 2 under another's dsyevr, or saves its 1.
     get = blas_threads_at_two
     g = sample_gnp(GnpParams(30, 0.5, seed=4))
     expected = top_two(g)
-    eigh = np.linalg.eigh
     seen = []
 
-    def counting_eigh(a):
+    def counting_dsyevr(dsyevr, *args):
         seen.append(get())
-        return eigh(a)
+        return dsyevr(*args)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    watch_dsyevr(monkeypatch, counting_dsyevr)
     results = []
 
     def worker():
@@ -332,4 +476,4 @@ def test_concurrent_dense_calls_keep_the_pin(blas_threads_at_two, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert results == [expected] * 200
-    assert set(seen) == {1} and get() == 2
+    assert len(seen) == 200 and set(seen) == {1} and get() == 2
