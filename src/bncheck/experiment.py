@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -308,25 +309,65 @@ class MonteCarloReport:
         }
 
 
+# The spawn-context worker pool, kept from the first call with threads > 1 for
+# the rest of the process: (worker count, executor).
+_POOL_LOCK = threading.Lock()
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _pooled_rows(config: MonteCarloConfig, threads: int) -> list[TrialRow]:
+    """The trials of config on the kept pool of `threads` workers, in trial
+    order. Any exception shuts that pool down; the next call starts a new one."""
+    global _pool
+    chunksize = max(1, config.trials // (8 * threads))
+    pool = None
+    try:
+        with _POOL_LOCK:
+            if _pool is None or _pool[0] != threads:
+                old, _pool = _pool, None
+                if old is not None:
+                    old[1].shutdown()
+                # spawn, not fork: BLAS thread pools in the parent do not
+                # survive forking reliably.
+                _pool = (threads, ProcessPoolExecutor(threads, mp_context=get_context("spawn")))
+            pool = _pool[1]
+            # map submits every chunk now, under the lock, so no other call
+            # can shut this pool down between the lookup and the submit.
+            results = pool.map(
+                _run_trial, repeat(config), range(config.trials), chunksize=chunksize
+            )
+        return list(results)
+    except BaseException:
+        if pool is not None:
+            with _POOL_LOCK:
+                if _pool is not None and _pool[1] is pool:
+                    _pool = None
+            pool.shutdown(cancel_futures=True)
+        raise
+
+
 def run_monte_carlo(config: MonteCarloConfig, *, threads: int = 1) -> MonteCarloReport:
     """Run the harness: `trials` independent draws, per-trial CSV rows plus an
     aggregate JSON, both written under out_dir (if set) in trial order.
 
     Trials are pure functions of (master seed, trial index, config), so the
     rows, and therefore the output bytes, are independent of the worker count.
+
+    With threads > 1 the trials run on a pool of that many spawned worker
+    processes. The pool is started by the first such call and kept for later
+    calls with the same count, so only the first pays the workers' start-up;
+    a call with another count replaces it, and a call that raises (a trial
+    that raises, a worker that dies, Ctrl-C) shuts it down. Workers take the
+    process environment when the pool starts, so BLAS variables set later in
+    the process do not reach them (only the Lanczos route's dense-operator
+    side, n > 2048 and 2e > n^2/8, depends on the BLAS thread count). Idle
+    workers keep the memory of their last trials and are joined at
+    interpreter exit.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads > 1:
-        # spawn, not fork: BLAS thread pools in the parent do not survive
-        # forking reliably.
-        with ProcessPoolExecutor(
-            max_workers=threads, mp_context=get_context("spawn")
-        ) as pool:
-            chunksize = max(1, config.trials // (8 * threads))
-            rows = list(
-                pool.map(_run_trial, repeat(config), range(config.trials), chunksize=chunksize)
-            )
+        rows = _pooled_rows(config, threads)
     else:
         rows = list(map(_run_trial, repeat(config), range(config.trials)))
 

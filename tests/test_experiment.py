@@ -1,9 +1,14 @@
 import json
 import math
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
+import textwrap
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,7 @@ from bncheck import (
     run_monte_carlo,
     sample_gnp,
 )
+from bncheck import experiment
 from bncheck.experiment import CSV_HEADER, _inequality_check
 from reference import gnp_edge_mask
 
@@ -285,6 +291,99 @@ def test_monte_carlo_bytes_independent_of_blas_threads(tmp_path):
                 )
                 csvs[out.name] = (out / "trials.csv").read_bytes()
         assert len(set(csvs.values())) == 1, sorted(csvs)
+
+
+@pytest.fixture
+def no_kept_pool():
+    """Start and end the test with no worker pool kept by an earlier call."""
+
+    def drop():
+        if experiment._pool is not None:
+            experiment._pool[1].shutdown()
+            experiment._pool = None
+
+    drop()
+    yield
+    drop()
+
+
+def _run_bytes(out_dir, threads):
+    """trials.csv and aggregate.json of one G(50, 1/2) x 60 run, with the
+    echoed out_dir blanked."""
+    run_monte_carlo(
+        MonteCarloConfig(n=50, p=0.5, trials=60, seed=23, out_dir=str(out_dir)), threads=threads
+    )
+    aggregate = (out_dir / "aggregate.json").read_bytes()
+    return (out_dir / "trials.csv").read_bytes(), aggregate.replace(str(out_dir).encode(), b"")
+
+
+def _worker_pids():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def test_pool_is_kept_across_calls(tmp_path, no_kept_pool):
+    one = _run_bytes(tmp_path / "one", 1)
+    assert _worker_pids() == set()
+    assert _run_bytes(tmp_path / "first", 2) == one
+    workers = _worker_pids()
+    assert len(workers) == 2
+    assert _run_bytes(tmp_path / "second", 2) == one
+    assert _worker_pids() == workers
+
+
+def test_other_worker_count_replaces_pool(tmp_path, no_kept_pool):
+    one = _run_bytes(tmp_path / "one", 1)
+    assert _run_bytes(tmp_path / "two", 2) == one
+    old = multiprocessing.active_children()
+    assert _run_bytes(tmp_path / "three", 3) == one
+    assert not any(proc.is_alive() for proc in old)
+    new = _worker_pids()
+    assert len(new) == 3 and new.isdisjoint(proc.pid for proc in old)
+
+
+def test_killed_worker_fails_the_run_and_the_next_starts_fresh(tmp_path, no_kept_pool):
+    one = _run_bytes(tmp_path / "one", 1)
+    assert _run_bytes(tmp_path / "warm", 2) == one
+    victim, survivor = multiprocessing.active_children()
+    # 200 draws of G(200, 1/2) keep two warm workers busy for about a second.
+    kill = threading.Timer(0.1, os.kill, (victim.pid, signal.SIGKILL))
+    kill.start()
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_monte_carlo(MonteCarloConfig(n=200, p=0.5, trials=200, seed=3), threads=2)
+    finally:
+        kill.join(timeout=60)
+    survivor.join(timeout=60)
+    assert not survivor.is_alive()
+    assert _run_bytes(tmp_path / "after", 2) == one
+    assert _worker_pids().isdisjoint({victim.pid, survivor.pid})
+
+
+def test_kept_pool_leaves_no_process_at_exit(tmp_path):
+    src = str(Path(bncheck.__file__).parents[1])
+    script = textwrap.dedent(f"""
+        import multiprocessing
+        from bncheck import MonteCarloConfig, run_monte_carlo
+        if __name__ == "__main__":
+            for k in range(2):
+                out_dir = {str(tmp_path)!r} + f"/{{k}}"
+                run_monte_carlo(MonteCarloConfig(n=50, p=0.5, trials=60, seed=23, out_dir=out_dir),
+                                threads=2)
+            print(*(proc.pid for proc in multiprocessing.active_children()))
+    """)
+    (tmp_path / "two_calls.py").write_text(script)
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "two_calls.py")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    workers = [int(pid) for pid in done.stdout.split()]
+    assert len(workers) == 2
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    csvs = [(tmp_path / k / "trials.csv").read_bytes() for k in ("0", "1")]
+    assert csvs[0] == csvs[1]
 
 
 def test_monte_carlo_aggregates_are_exact_counts():
