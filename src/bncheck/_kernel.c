@@ -1,15 +1,16 @@
-/* Exact maximum clique on 64-bit bitsets, called from clique.py through ctypes.
+/* bncheck's compiled kernel, loaded through ctypes by _kernel.py: the G(n,p)
+ * draw, the smallest-last vertex order and the exact maximum clique search.
+ * None of the three keeps state between calls.
  *
- * The scheme is San Segundo et al.'s BBMC (Computers & OR 38, 2011): vertices
- * are relabelled in the order the caller gives, candidate sets are bitsets,
- * and each search node partitions its candidates into color classes by
- * repeatedly taking the lowest remaining vertex not adjacent to the class.
+ * The clique search is San Segundo et al.'s BBMC (Computers & OR 38, 2011):
+ * vertices are relabelled in the order the caller gives, candidate sets are
+ * bitsets, and each search node partitions its candidates into color classes
+ * by repeatedly taking the lowest remaining vertex not adjacent to the class.
  * A clique takes at most one vertex per class, so size + color bounds every
  * branch. The search starts from the largest of 8 greedy cliques and, when a
- * time budget stops it, grows its best clique to a maximal one.
- *
- * The deadline is read at every greedy step and every search node, and only
- * when a budget is given. The kernel keeps no state between calls.
+ * time budget stops it, grows its best clique to a maximal one. The deadline
+ * is read at every greedy step and every search node, and only when a budget
+ * is given.
  */
 #define _POSIX_C_SOURCE 199309L
 
@@ -22,6 +23,135 @@ typedef uint64_t word;
 
 #define GREEDY_STARTS 8
 #define BIT(v) ((word)1 << ((v) & 63))
+
+/* splitmix64 (Steele/Lea constants), the stream of graph.py's randomness contract */
+#define GAMMA 0x9E3779B97F4A7C15u
+#define MIX1 0xBF58476D1CE4E5B9u
+#define MIX2 0x94D049BB133111EBu
+
+/* The strict upper triangle of the n x n 0/1 matrix `a` (C order, one byte
+ * per entry) from the splitmix64 stream seeded with `seed`: output t, which
+ * is mix(seed + (t + 1) * GAMMA), decides the t-th pair in row-major order,
+ * and the pair is an edge iff the output is below `threshold`. Entries on and
+ * below the diagonal are left as they are. */
+void bn_draw_gnp(uint8_t *a, int64_t n, uint64_t seed, uint64_t threshold)
+{
+    uint64_t state = seed;
+    for (int64_t i = 0; i < n; i++) {
+        uint8_t *row = a + i * n;
+        for (int64_t j = i + 1; j < n; j++) {
+            uint64_t x = state += GAMMA;
+            x = (x ^ (x >> 30)) * MIX1;
+            x = (x ^ (x >> 27)) * MIX2;
+            row[j] = (x ^ (x >> 31)) < threshold;
+        }
+    }
+}
+
+/* Smallest-last order of the n x n 0/1 `matrix`: repeatedly remove a vertex
+ * of least degree among those left, the lowest label on ties, and write the
+ * k-th removed to order[k]. Returns 0, or -1 when memory ran out.
+ *
+ * Degrees sit in blocks of 64 vertices, each with its minimum in low[], so a
+ * step reads the n / 64 minima and one block rather than all n degrees. A
+ * removal lowers its neighbours' degrees, which can only lower their blocks'
+ * minima, and raises its own to REMOVED, so only its own block is rescanned.
+ * Removed vertices are lowered too; they stay far above every live degree.
+ * The row is read 8 bytes at a time, skipping all-zero ones; the others are
+ * subtracted as two 4-lane vectors, folded into one vector minimum per block
+ * (GCC and Clang vector extensions: GCC's -O2 leaves the scalar loop
+ * unvectorized, and at G(4096, 1/2) it takes SIMD to beat numpy's
+ * argmin-and-subtract loop). */
+#define REMOVED INT32_MAX
+
+typedef int32_t lanes __attribute__((vector_size(16)));
+typedef uint8_t lane_bytes __attribute__((vector_size(4)));
+
+static int32_t min32(int32_t a, int32_t b)
+{
+    return a < b ? a : b;
+}
+
+static lanes min_lanes(lanes a, lanes b)
+{
+    lanes less = a < b;
+    return (a & less) | (b & ~less);
+}
+
+int64_t bn_degeneracy_order(const uint8_t *matrix, int64_t n, int64_t *order)
+{
+    const int64_t blocks = (n + 63) / 64;
+    int32_t *degree = malloc((size_t)(blocks * 64) * sizeof *degree);
+    int32_t *low = malloc((size_t)blocks * sizeof *low);
+    if (degree == NULL || low == NULL) {
+        free(degree);
+        free(low);
+        return -1;
+    }
+    for (int64_t v = 0; v < blocks * 64; v++) {
+        int32_t d = REMOVED; /* the padding past n is never picked */
+        if (v < n) {
+            const uint8_t *row = matrix + v * n;
+            int64_t c = 0;
+            for (d = 0; c + 8 <= n; c += 8) {
+                uint64_t bytes;
+                memcpy(&bytes, row + c, sizeof bytes);
+                d += (int32_t)((bytes * 0x0101010101010101u) >> 56); /* sum of 8 0/1 bytes */
+            }
+            for (; c < n; c++)
+                d += row[c];
+        }
+        degree[v] = d;
+        low[v / 64] = v % 64 == 0 ? d : min32(low[v / 64], d);
+    }
+
+    for (int64_t k = 0; k < n; k++) {
+        int64_t b = 0;
+        for (int64_t x = 1; x < blocks; x++)
+            if (low[x] < low[b])
+                b = x;
+        int64_t v = b * 64;
+        while (degree[v] != low[b])
+            v++;
+        order[k] = v;
+
+        const uint8_t *row = matrix + v * n;
+        for (int64_t c0 = 0; c0 < n; c0 += 64) {
+            const int64_t end = c0 + 64 < n ? c0 + 64 : n;
+            lanes m = {REMOVED, REMOVED, REMOVED, REMOVED};
+            int64_t c = c0;
+            for (; c + 8 <= end; c += 8) {
+                uint64_t bytes;
+                memcpy(&bytes, row + c, sizeof bytes);
+                if (bytes == 0)
+                    continue;
+                lane_bytes first, second;
+                lanes d0, d1;
+                memcpy(&first, row + c, sizeof first);
+                memcpy(&second, row + c + 4, sizeof second);
+                memcpy(&d0, degree + c, sizeof d0);
+                memcpy(&d1, degree + c + 4, sizeof d1);
+                d0 -= __builtin_convertvector(first, lanes);
+                d1 -= __builtin_convertvector(second, lanes);
+                memcpy(degree + c, &d0, sizeof d0);
+                memcpy(degree + c + 4, &d1, sizeof d1);
+                m = min_lanes(m, min_lanes(d0, d1));
+            }
+            for (; c < end; c++) {
+                degree[c] -= row[c];
+                m[0] = min32(m[0], degree[c]);
+            }
+            low[c0 / 64] = min32(low[c0 / 64], min32(min32(m[0], m[1]), min32(m[2], m[3])));
+        }
+        degree[v] = REMOVED;
+        low[b] = REMOVED;
+        for (int64_t u = b * 64; u < b * 64 + 64; u++)
+            low[b] = min32(low[b], degree[u]);
+    }
+    free(degree);
+    free(low);
+    return 0;
+}
 
 struct search {
     int64_t n, words;

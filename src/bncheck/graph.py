@@ -11,12 +11,12 @@ All sampling is driven by the splitmix64 stream (Steele/Lea mixing constants):
 output t of the stream seeded with s is ``mix64(s + (t+1) * GAMMA) mod 2**64``.
 ``sample_gnp`` consumes one 64-bit draw per vertex pair in row-major order over
 the strict upper triangle ((0,1), (0,2), ..., (0,n-1), (1,2), ...), and the pair
-is an edge iff the draw is below ``floor(p * 2**64)``. It draws the stream in
-blocks of ``_DRAW_BLOCK`` outputs (row blocks, which may end inside a row)
-straight into the adjacency matrix, so the block size changes neither the stream
-order nor any byte of the graph. ``derive_trial_seed`` is
-output ``trial`` of the stream seeded with the master seed. The generator
-identity is part of the output contract: changing it is a breaking change.
+is an edge iff the draw is below ``floor(p * 2**64)``. The compiled kernel
+(``_kernel.c``) draws the stream one output at a time straight into the upper
+triangle of the adjacency matrix; ``_splitmix64_outputs`` is the same stream in
+numpy. ``derive_trial_seed`` is output ``trial`` of the stream seeded with the
+master seed. The generator identity is part of the output contract: changing it
+is a breaking change.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _kernel
 from .errors import CapacityError, ParseError
 
 MAX_VERTICES = 4096
 _TILE = 256  # symmetry is checked and mirrored tile by tile, never by a full transpose
-_DRAW_BLOCK = 1 << 16  # stream outputs drawn at once by sample_gnp: 512 KB of uint64
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -131,8 +131,10 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) with i < j, row-major over the strict upper triangle."""
-        i, j = np.nonzero(np.triu(self.matrix, 1))
-        return zip(i.tolist(), j.tolist())
+        flat = np.flatnonzero(self.matrix.view(bool))  # both halves, row-major
+        i, j = np.divmod(flat, self.n)
+        upper = i < j
+        return zip(i[upper].tolist(), j[upper].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -171,24 +173,6 @@ class GnpParams:
         return self.p in (0.0, 1.0)
 
 
-def _draw_upper_triangle(a: np.ndarray, seed: int, threshold: np.uint64) -> None:
-    """Set a[i, j] (i < j) to draw < threshold, taking the stream in blocks of
-    _DRAW_BLOCK outputs in pair order; a block may end inside a row."""
-    n = len(a)
-    pairs = n * (n - 1) // 2
-    i, j = 0, 1  # the pair that the next draw decides
-    for start in range(0, pairs, _DRAW_BLOCK):
-        edges = _splitmix64_outputs(seed, min(_DRAW_BLOCK, pairs - start), start) < threshold
-        k = 0
-        while k < len(edges):
-            take = min(n - j, len(edges) - k)
-            a[i, j : j + take] = edges[k : k + take]
-            k += take
-            j += take
-            if j == n:
-                i, j = i + 1, i + 2
-
-
 def sample_gnp(params: GnpParams) -> Graph:
     """Draw G(n,p): each pair {i,j} is an edge independently with probability p.
 
@@ -204,7 +188,7 @@ def sample_gnp(params: GnpParams) -> Graph:
         return Graph(~np.eye(n, dtype=bool))
     a = np.zeros((n, n), dtype=bool)  # bool: Graph skips its 0/1 comparison
     if threshold > 0:
-        _draw_upper_triangle(a, params.seed, np.uint64(threshold))
+        _kernel.library().bn_draw_gnp(a.view(np.uint8), n, params.seed, threshold)
         for rows, cols in _upper_tiles(n):
             a[cols, rows] |= a[rows, cols].T
     return Graph(a)

@@ -1,9 +1,9 @@
-"""References for the tests: the whole-stream G(n,p) draw, which sample_gnp
-takes in blocks, and the clique search in pure Python."""
+"""References for the tests, each the same computation as a part of the C
+kernel: the G(n,p) draw and the smallest-last order in numpy, and the clique
+search in pure Python."""
 
 import numpy as np
 
-from bncheck.clique import _degeneracy_order
 from bncheck.graph import _splitmix64_outputs
 
 
@@ -23,6 +23,21 @@ def gnp_matrix(n, p, seed):
     upper = np.zeros((n, n), dtype=bool)
     upper[np.triu_indices(n, k=1)] = gnp_edge_mask(n, p, seed)
     return upper | upper.T
+
+
+def degeneracy_order(a):
+    """Smallest-last order of the n x n 0/1 matrix `a`: repeatedly remove a
+    minimum-degree vertex, the lowest label on ties."""
+    n = len(a)
+    deg = a.sum(axis=1, dtype=np.int32)
+    order = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        v = deg.argmin()
+        order[k] = v
+        deg -= a[v]
+        # Loses at most n - 1 more, so stays above every live degree (< n).
+        deg[v] = 2 * n
+    return order
 
 
 # Pure-Python clique search: the algorithm of bncheck's C kernel on Python int
@@ -116,7 +131,7 @@ class Search:
 def max_clique(g):
     """(omega, witness, nodes_explored) of the search on Python int bit rows."""
     n = g.n
-    order = _degeneracy_order(g.matrix)
+    order = degeneracy_order(g.matrix)
     adj = bit_rows(g.matrix.take(order, axis=0).take(order, axis=1))
     search = Search(adj, greedy_clique(adj, n))
     search.expand(0, 0, (1 << n) - 1)

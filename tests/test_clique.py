@@ -31,8 +31,7 @@ from bncheck import (
     max_clique_bruteforce,
     sample_gnp,
 )
-from bncheck import clique
-from bncheck.clique import _degeneracy_order
+from bncheck import _kernel
 from strategies import symmetric_matrices
 
 # n at and around the 64-bit word edges of the kernel's bitsets
@@ -42,6 +41,12 @@ SRC = str(Path(bncheck.__file__).parents[1])
 
 def _drawn(g):
     return g.matrix, g.edge_count
+
+
+def kernel_order(a):
+    order = np.empty(len(a), dtype=np.int64)
+    assert _kernel.library().bn_degeneracy_order(a, len(a), order) == 0
+    return order
 
 
 def _two_disjoint_k5():
@@ -109,13 +114,32 @@ def test_degeneracy_order_is_smallest_last(drawn):
     # there, and the lowest label among those of that degree
     a, _ = drawn
     n = len(a)
-    order = _degeneracy_order(a)
+    order = kernel_order(a)
     assert sorted(order) == list(range(n))
     live = np.ones(n, dtype=bool)
     for v in order:
         degree = {u: int(a[u, live].sum()) for u in np.flatnonzero(live).tolist()}
         assert v == min(degree, key=lambda u: (degree[u], u))
         live[v] = False
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_kernel_order_matches_reference_at_block_edges(n, p):
+    # the kernel keeps one minimum per 64 degrees and reads rows 8 bytes at a time
+    a = sample_gnp(GnpParams(n, p, seed=n)).matrix
+    assert np.array_equal(kernel_order(a), reference.degeneracy_order(a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_matrices())
+@example(_drawn(make_named("empty", 70)))
+@example(_drawn(make_named("complete", 70)))
+@example(_drawn(sample_gnp(GnpParams(4095, 0.01, seed=1))))
+@example(_drawn(sample_gnp(GnpParams(4096, 0.5, seed=1))))
+def test_kernel_order_matches_reference(drawn):
+    a, _ = drawn
+    assert np.array_equal(kernel_order(a), reference.degeneracy_order(a))
 
 
 def test_oracle_equivalence_sweep():
@@ -220,7 +244,7 @@ def test_budget_also_bounds_the_greedy_seed(n):
     # n = 2048, 5.4 s in C at n = 4096); it reads the deadline at every step,
     # so the budget holds before the search proper starts.
     g = sample_gnp(GnpParams(n, 0.999, seed=1))
-    clique._kernel()  # a first call may compile the kernel
+    _kernel.library()  # a first call may compile the kernel
     t0 = time.perf_counter()
     r = max_clique(g, time_budget=0.5)
     assert time.perf_counter() - t0 < 1.5
@@ -327,9 +351,37 @@ def test_two_workers_on_an_empty_cache(tmp_path):
 
 
 def test_import_neither_compiles_nor_loads_the_kernel(tmp_path):
+    # what mcbench's setup_s times: the import and the config, and no kernel
     no_compiler = tmp_path / "empty"
     no_compiler.mkdir()
-    code = "import bncheck, bncheck.clique as c; assert c._kernel.cache_info().currsize == 0"
+    code = (
+        "import bncheck, bncheck._kernel as k\n"
+        "bncheck.MonteCarloConfig.from_dict({'n': 200, 'p': 0.5, 'trials': 1, 'seed': 1})\n"
+        "assert k.library.cache_info().currsize == 0\n"
+    )
     done = _run_python(["-c", code], tmp_path / "cache", str(no_compiler))
     assert done.returncode == 0, done.stderr
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("call", [
+    "sample_gnp(GnpParams(5, 0.5, seed=1))",
+    "max_clique(make_named('complete', 5))",
+])
+def test_first_kernel_call_without_cc_names_the_compiler(tmp_path, call):
+    no_compiler = tmp_path / "empty"
+    no_compiler.mkdir()
+    code = f"from bncheck import *\n{call}"
+    done = _run_python(["-c", code], tmp_path / "cache", str(no_compiler))
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: bncheck needs a C compiler: no `cc` on PATH")
+    assert str(tmp_path / "cache" / "bncheck") in last
+
+
+def test_kernel_source_ships_with_the_package():
+    # a wheel without the source fails at the first trial (no tomllib on 3.10)
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    package_data = pyproject.split("\n[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    assert f'bncheck = ["{_kernel.SOURCE.name}"]' in package_data
+    assert _kernel.SOURCE.parent == Path(bncheck.__file__).parent and _kernel.SOURCE.is_file()

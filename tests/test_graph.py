@@ -1,9 +1,8 @@
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bncheck import (
@@ -17,8 +16,11 @@ from bncheck import (
     sample_gnp,
     write_edge_list,
 )
-import bncheck.graph
 from bncheck.graph import (
+    _GAMMA,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     MAX_VERTICES,
     _mix64,
     _splitmix64_outputs,
@@ -113,6 +115,15 @@ def test_from_edges_and_accessors():
     assert g.has_edge(70, 0) and list(g.edges()) == [(0, 70)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(symmetric_matrices())
+@example((sample_gnp(GnpParams(MAX_VERTICES, 0.01, seed=1)).matrix, None))
+def test_edges_are_the_upper_triangle_row_major(drawn):
+    a, _ = drawn
+    i, j = np.nonzero(np.triu(a, 1))
+    assert list(Graph(a).edges()) == list(zip(i.tolist(), j.tolist()))
+
+
 def test_gnp_params_validation():
     with pytest.raises(ValueError):
         GnpParams(0, 0.5, 1)
@@ -186,19 +197,40 @@ def test_per_pair_edge_frequency():
     assert np.all(np.abs(freq - p) <= margin)
 
 
-@settings(max_examples=60, deadline=None)
+# p whose thresholds floor(p * 2**64) sit at the ends of the 64-bit range:
+# 1, 3 and 2**64 - 2**11 (the largest double below 1)
+EXTREME_P = (2.0**-64, 3 * 2.0**-64, 0.5, float(np.nextafter(1.0, 0.0)))
+
+
+def _seed_with_first_output(value):
+    """The seed whose splitmix64 output 0 is `value`: the finalizer inverted,
+    minus one GAMMA step."""
+    x = value
+    x ^= (x >> 31) ^ (x >> 62)
+    x = x * pow(_MIX2, -1, 1 << 64) & _MASK64
+    x ^= (x >> 27) ^ (x >> 54)
+    x = x * pow(_MIX1, -1, 1 << 64) & _MASK64
+    x ^= (x >> 30) ^ (x >> 60)
+    return (x - _GAMMA) & _MASK64
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    n=st.integers(1, 200),
-    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    n=st.integers(1, 70),
+    p=st.one_of(st.sampled_from([0.0, *EXTREME_P, 1.0]), st.floats(0.0, 1.0)),
     seed=st.integers(0, (1 << 64) - 1),
-    block=st.integers(1, 7),
 )
-def test_block_draw_matches_whole_stream(n, p, seed, block):
-    # blocks of a few pairs end inside rows and, often enough, at row ends
-    expected = gnp_matrix(n, p, seed)
-    with mock.patch.object(bncheck.graph, "_DRAW_BLOCK", block):
-        assert np.array_equal(sample_gnp(GnpParams(n, p, seed)).matrix, expected)
-    assert np.array_equal(sample_gnp(GnpParams(n, p, seed)).matrix, expected)
+def test_kernel_draw_matches_whole_stream(n, p, seed):
+    assert np.array_equal(sample_gnp(GnpParams(n, p, seed)).matrix, gnp_matrix(n, p, seed))
+
+
+@pytest.mark.parametrize("p", EXTREME_P)
+def test_kernel_draw_is_an_edge_exactly_below_the_threshold(p):
+    threshold = int(p * 2.0**64)
+    for value, edges in ((threshold - 1, 1), (threshold, 0)):
+        seed = _seed_with_first_output(value)
+        assert int(_splitmix64_outputs(seed, 1)[0]) == value
+        assert sample_gnp(GnpParams(2, p, seed)).edge_count == edges
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,9 +31,11 @@ from bncheck.spectral import (
     _lanczos_on_csr,
     _one_blas_thread,
     _openblas,
+    _top_tridiagonal_pair,
     _top_two_iterative,
     adjacency_matrix,
 )
+from strategies import symmetric_matrices
 
 
 def cycle_eigenvalues(n):
@@ -257,6 +259,35 @@ def test_adjacency_matrix_round_trip():
     csr = adjacency_matrix(g, sparse=True)
     assert csr.format == "csr" and csr.dtype == np.float64 and csr.has_sorted_indices
     assert np.array_equal(csr.toarray(), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_matrices())
+@example((np.zeros((9, 9), dtype=np.uint8), 0))
+@example(((1 - np.eye(13)).astype(np.uint8), 78))
+@example((sample_gnp(GnpParams(4096, 0.01, seed=1)).matrix, None))
+def test_csr_arrays_are_the_ones_csr_array_builds(drawn):
+    from scipy.sparse import csr_array
+
+    g = Graph(drawn[0])
+    ours, theirs = adjacency_matrix(g, sparse=True), csr_array(g.matrix.view(bool), dtype=np.float64)
+    assert ours.shape == theirs.shape and ours.has_sorted_indices == theirs.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        mine, scipys = getattr(ours, name), getattr(theirs, name)
+        assert mine.dtype == scipys.dtype and np.array_equal(mine, scipys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50, 50), st.floats(0.01, 50)), min_size=1, max_size=60))
+def test_top_tridiagonal_pair_is_eigh_tridiagonals_bit_for_bit(entries):
+    from scipy.linalg import eigh_tridiagonal
+
+    d = np.array([a for a, _ in entries])
+    e = np.array([b for _, b in entries[1:]])
+    k = len(d) - 1
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(k, k))
+    theta, ritz = _top_tridiagonal_pair(d, e)
+    assert theta == float(w[0]) and np.array_equal(ritz, v[:, 0])
 
 
 def test_lanczos_operator_rule_is_density_only():
