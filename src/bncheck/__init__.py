@@ -14,7 +14,7 @@ from .bounds import (
     juhasz_expected_lambda1,
     theorem_lower_bound,
 )
-from .clique import CliqueResult, is_clique, max_clique, max_clique_bruteforce
+from .clique import CliqueResult, is_clique, max_clique
 from .errors import CapacityError, ConvergenceError, ParseError, UncertifiedCliqueError
 from .experiment import (
     EventTriple,
@@ -30,12 +30,11 @@ from .graph import (
     GnpParams,
     Graph,
     derive_trial_seed,
-    make_named,
     read_edge_list,
     sample_gnp,
     write_edge_list,
 )
-from .spectral import SpectralSummary, adjacency_matrix, full_spectrum, top_two
+from .spectral import SpectralSummary, adjacency_matrix, top_two
 
 __version__ = "0.1.0"
 
@@ -64,13 +63,10 @@ __all__ = [
     "envelope_sides",
     "envelope_thresholds",
     "fk_lambda2_bound",
-    "full_spectrum",
     "hoeffding_edge_tail",
     "is_clique",
     "juhasz_expected_lambda1",
-    "make_named",
     "max_clique",
-    "max_clique_bruteforce",
     "read_edge_list",
     "run_monte_carlo",
     "sample_gnp",

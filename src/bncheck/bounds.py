@@ -71,9 +71,11 @@ def admissible_p_max(eps: float) -> float:
 
 
 def _overflow_to_inf(fn) -> float:
+    """fn(), or inf when it overflows or divides by a denominator that
+    underflowed to 0 (eps * p * p once p is below about 5e-162)."""
     try:
         return fn()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -84,7 +86,7 @@ def envelope_thresholds(params: BoundParams) -> ThresholdReport:
     sweeps can chart the admissible region.
     """
     eps, p, c0 = params.eps, params.p, params.c0
-    m0 = 12.0 * (1.0 - p) / (eps * p)
+    m0 = _overflow_to_inf(lambda: 12.0 * (1.0 - p) / (eps * p))
     m1 = _overflow_to_inf(lambda: (12.0 * c0 * math.sqrt(p * (1.0 - p)) / (eps * p * p)) ** 6)
     m2 = _overflow_to_inf(lambda: (3.0 * c0 * c0 / (eps * p * p)) ** 3)
     root = 1.0 - math.sqrt(1.0 - eps)

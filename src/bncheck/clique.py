@@ -1,4 +1,4 @@
-"""Exact maximum clique via branch-and-bound, plus a brute-force oracle.
+"""Exact maximum clique via branch-and-bound.
 
 The solver is the classic color-bound scheme: vertices are relabeled in
 smallest-last order (lowest label on ties), candidate sets are bitsets, and
@@ -24,10 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernel
-from .errors import CapacityError
 from .graph import Graph
-
-BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -71,20 +68,3 @@ def max_clique(g: Graph, time_budget: float | None = None) -> CliqueResult:
     if size < 0:
         raise MemoryError(f"clique search on {g.n} vertices ran out of memory")
     return CliqueResult(size, tuple(sorted(witness[:size].tolist())), nodes.value, bool(timed_out.value))
-
-
-def max_clique_bruteforce(g: Graph) -> int:
-    """Oracle omega(G) by subset enumeration in increasing size.
-
-    A (k+1)-clique contains a k-clique, so the first size with no clique ends
-    the search. Capped at n <= BRUTE_FORCE_LIMIT.
-    """
-    n = g.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"brute force capped at n={BRUTE_FORCE_LIMIT}, got {n}")
-    omega = 1
-    for k in range(2, n + 1):
-        if not any(is_clique(g, combo) for combo in combinations(range(n), k)):
-            break
-        omega = k
-    return omega

@@ -1,4 +1,4 @@
-"""Graph representation, seeded G(n,p) sampling, named families, and edge-list I/O.
+"""Graph representation, seeded G(n,p) sampling, and edge-list I/O.
 
 Vertices are 0-indexed. A graph is stored as its read-only n x n uint8
 adjacency matrix, entry (i, j) = 1 iff {i, j} is an edge: the matrix whose
@@ -123,12 +123,6 @@ class Graph:
             a[i, j] = a[j, i] = True
         return cls(a)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.matrix[i, j])
-
-    def degree(self, i: int) -> int:
-        return int(np.count_nonzero(self.matrix[i]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) with i < j, row-major over the strict upper triangle."""
         flat = np.flatnonzero(self.matrix.view(bool))  # both halves, row-major
@@ -192,33 +186,6 @@ def sample_gnp(params: GnpParams) -> Graph:
         for rows, cols in _upper_tiles(n):
             a[cols, rows] |= a[rows, cols].T
     return Graph(a)
-
-
-def make_named(kind: str, n: int, a: int | None = None, b: int | None = None) -> Graph:
-    """Canonical test-fixture graph of a named family on vertices 0..n-1.
-
-    Kinds: empty, complete, cycle (n >= 3), path, complete_bipartite (requires
-    a + b = n with a, b >= 1; part A is vertices 0..a-1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "empty":
-        return Graph(np.zeros((n, n), dtype=bool))
-    if kind == "complete":
-        return Graph(~np.eye(n, dtype=bool))
-    if kind == "cycle":
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "path":
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "complete_bipartite":
-        if a is None or b is None:
-            raise ValueError("complete_bipartite needs part sizes a and b")
-        if a < 1 or b < 1 or a + b != n:
-            raise ValueError("complete_bipartite needs a, b >= 1 with a + b = n")
-        return Graph.from_edges(n, [(i, a + j) for i in range(a) for j in range(b)])
-    raise ValueError(f"unknown graph kind {kind!r}")
 
 
 def read_edge_list(text: str) -> Graph:

@@ -4,9 +4,8 @@ Two routes share one contract, and n alone picks between them. The dense route,
 for n up to `DENSE_LIMIT`, reduces the symmetric matrix to tridiagonal form
 once and computes only its top two eigenpairs (LAPACK dsyevr with RANGE='I'
 from the OpenBLAS bundled with numpy; the top two of numpy's full `eigh` when
-numpy bundles none, or when dsyevr returns no pair), so it agrees with
-`full_spectrum` within the residual tolerance. The iterative route, used above
-that limit, is a Lanczos iteration with full reorthogonalization for the
+numpy bundles none, or when dsyevr returns no pair). The iterative route, used
+above that limit, is a Lanczos iteration with full reorthogonalization for the
 largest eigenpair, followed by a rank-one deflation shift and a second Lanczos
 run for the second largest.
 It multiplies by a scipy.sparse CSR copy of A when 2e <= n^2 / SPARSE_DIVISOR,
@@ -35,7 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError
+from .errors import ConvergenceError
 from .graph import Graph, _splitmix64_outputs
 
 DENSE_LIMIT = 2048
@@ -177,36 +176,6 @@ def _dsyevr_top_two(blas: _OpenBLAS, a: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (w[:2], z.T) if m.value == 2 else None
 
 
-def _dense_pairs(g: Graph, top_only: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) of all n pairs, or with `top_only` of the top two,
-    plus the residual norm of each pair."""
-    a = adjacency_matrix(g)
-    blas = _openblas()
-    with _one_blas_thread():
-        pairs = _dsyevr_top_two(blas, a) if top_only and blas is not None else None
-        w, v = pairs if pairs is not None else np.linalg.eigh(a)
-        if top_only:
-            w, v = w[-2:], v[:, -2:]
-        residuals = np.linalg.norm(a @ v - v * w, axis=0)
-    return w, residuals
-
-
-def full_spectrum(g: Graph) -> list[float]:
-    """All n adjacency eigenvalues, sorted descending, residual-checked.
-
-    The spectrum satisfies sum(w) = trace = 0 and sum(w**2) = 2 e(G) up to
-    rounding; tests pin both.
-    """
-    if g.n > DENSE_LIMIT:
-        raise CapacityError(f"n={g.n} exceeds DENSE_LIMIT={DENSE_LIMIT}")
-    w, residuals = _dense_pairs(g, top_only=False)
-    bound = DEFAULT_TOL * max(1.0, float(w[-1]))
-    worst = float(residuals.max())
-    if worst > bound:
-        raise ConvergenceError("dense eigensolver residual above tolerance", worst)
-    return [float(x) for x in w[::-1]]
-
-
 def _pseudo_random_unit(n: int, seed: int) -> np.ndarray:
     """Deterministic start vector: splitmix64 stream mapped into [-0.5, 0.5)."""
     u = _splitmix64_outputs(seed, n).astype(np.float64) / 2.0**64 - 0.5
@@ -332,14 +301,19 @@ def _lanczos_top_two(a, n: int, tol: float, max_matvecs: int) -> SpectralSummary
 def top_two(g: Graph) -> SpectralSummary:
     """The two algebraically largest adjacency eigenvalues with residuals.
 
-    Dense route for n <= DENSE_LIMIT (agrees with `full_spectrum` within the
-    residual tolerance), Lanczos-with-deflation route above it, same residual
-    contract either way.
+    Dense route for n <= DENSE_LIMIT, Lanczos-with-deflation route above it,
+    same residual contract either way.
     """
     if g.n < 2:
         raise ValueError("top_two needs n >= 2 (lambda2 must exist)")
     if g.n <= DENSE_LIMIT:
-        w, residuals = _dense_pairs(g, top_only=True)
+        a = adjacency_matrix(g)
+        blas = _openblas()
+        with _one_blas_thread():
+            pairs = _dsyevr_top_two(blas, a) if blas is not None else None
+            w, v = pairs if pairs is not None else np.linalg.eigh(a)
+            w, v = w[-2:], v[:, -2:]
+            residuals = np.linalg.norm(a @ v - v * w, axis=0)
         lam1, lam2 = float(w[1]) + 0.0, float(w[0]) + 0.0  # + 0.0 turns -0.0 into 0.0
         res1, res2 = float(residuals[1]), float(residuals[0])
         bound = DEFAULT_TOL * max(1.0, lam1)

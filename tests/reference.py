@@ -1,10 +1,19 @@
-"""References for the tests, each the same computation as a part of the C
-kernel: the G(n,p) draw and the smallest-last order in numpy, and the clique
-search in pure Python."""
+"""References for the tests.
+
+Each of the first group is the same computation as a part of the C kernel: the
+G(n,p) draw and the smallest-last order in numpy, and the clique search in pure
+Python. The rest are independent oracles and fixtures: the full spectrum from
+numpy's eigh, omega by subset enumeration, and the named graph families."""
+
+from itertools import combinations
 
 import numpy as np
 
+from bncheck import CapacityError, ConvergenceError, Graph, is_clique
 from bncheck.graph import _splitmix64_outputs
+from bncheck.spectral import DEFAULT_TOL, DENSE_LIMIT, _one_blas_thread, adjacency_matrix
+
+BRUTE_FORCE_LIMIT = 20
 
 
 def gnp_edge_mask(n, p, seed):
@@ -141,3 +150,66 @@ def max_clique(g):
             mask |= 1 << v
     witness = tuple(sorted(int(order[v]) for v in bits(mask)))
     return mask.bit_count(), witness, search.nodes
+
+
+def full_spectrum(g):
+    """All n adjacency eigenvalues, sorted descending, residual-checked.
+
+    The spectrum satisfies sum(w) = trace = 0 and sum(w**2) = 2 e(G) up to
+    rounding; tests pin both.
+    """
+    if g.n > DENSE_LIMIT:
+        raise CapacityError(f"n={g.n} exceeds DENSE_LIMIT={DENSE_LIMIT}")
+    a = adjacency_matrix(g)
+    with _one_blas_thread():
+        w, v = np.linalg.eigh(a)
+        residuals = np.linalg.norm(a @ v - v * w, axis=0)
+    bound = DEFAULT_TOL * max(1.0, float(w[-1]))
+    worst = float(residuals.max())
+    if worst > bound:
+        raise ConvergenceError("dense eigensolver residual above tolerance", worst)
+    return [float(x) for x in w[::-1]]
+
+
+def max_clique_bruteforce(g):
+    """Oracle omega(G) by subset enumeration in increasing size.
+
+    A (k+1)-clique contains a k-clique, so the first size with no clique ends
+    the search. Capped at n <= BRUTE_FORCE_LIMIT.
+    """
+    n = g.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise CapacityError(f"brute force capped at n={BRUTE_FORCE_LIMIT}, got {n}")
+    omega = 1
+    for k in range(2, n + 1):
+        if not any(is_clique(g, combo) for combo in combinations(range(n), k)):
+            break
+        omega = k
+    return omega
+
+
+def make_named(kind, n, a=None, b=None):
+    """Canonical test-fixture graph of a named family on vertices 0..n-1.
+
+    Kinds: empty, complete, cycle (n >= 3), path, complete_bipartite (requires
+    a + b = n with a, b >= 1; part A is vertices 0..a-1).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind == "empty":
+        return Graph(np.zeros((n, n), dtype=bool))
+    if kind == "complete":
+        return Graph(~np.eye(n, dtype=bool))
+    if kind == "cycle":
+        if n < 3:
+            raise ValueError("cycle needs n >= 3")
+        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == "path":
+        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == "complete_bipartite":
+        if a is None or b is None:
+            raise ValueError("complete_bipartite needs part sizes a and b")
+        if a < 1 or b < 1 or a + b != n:
+            raise ValueError("complete_bipartite needs a, b >= 1 with a + b = n")
+        return Graph.from_edges(n, [(i, a + j) for i in range(a) for j in range(b)])
+    raise ValueError(f"unknown graph kind {kind!r}")

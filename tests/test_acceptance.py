@@ -14,16 +14,14 @@ from bncheck import (
     cli,
     derive_trial_seed,
     fk_lambda2_bound,
-    full_spectrum,
-    make_named,
     max_clique,
-    max_clique_bruteforce,
     sample_gnp,
     theorem_lower_bound,
     top_two,
 )
 from bncheck.bounds import BoundParams, admissible_p_max, envelope_sides, envelope_thresholds
 from bncheck.experiment import MonteCarloConfig, run_monte_carlo
+from reference import full_spectrum, make_named, max_clique_bruteforce
 
 
 def _report(number: int, elapsed: float, cap: float, detail: str) -> None:

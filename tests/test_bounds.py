@@ -79,6 +79,20 @@ def test_threshold_overflow_reported_as_inf():
     assert 1e300 < tame.m4 < math.inf
 
 
+@pytest.mark.parametrize("p", [1e-200, 5e-324])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+def test_threshold_underflow_reported_as_inf(eps, p):
+    # eps * p * p rounds to 0 here, and at p = 5e-324 so can eps * p: a division
+    # by it is an infinite threshold, not a ZeroDivisionError
+    rep = envelope_thresholds(BoundParams(eps, p, 1.0))
+    assert rep.m1 == rep.m2 == rep.m4 == rep.n0 == math.inf
+    if p == 5e-324:
+        assert rep.m0 == math.inf
+    else:
+        assert rel_close(rep.m0, 12.0 / (eps * p))
+    assert rep.m3 == 1.0 / (1.0 - math.sqrt(1.0 - eps)) and rep.p_admissible
+
+
 def test_per_term_inequalities_hold_beyond_thresholds():
     params = BoundParams(0.5, 0.1, 1.0)
     eps, p, c0 = params.eps, params.p, params.c0

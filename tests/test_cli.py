@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,17 +11,26 @@ import bncheck
 from bncheck import (
     MonteCarloConfig,
     cli,
-    make_named,
     read_edge_list,
     run_monte_carlo,
     write_edge_list,
 )
+from reference import make_named
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_public_surface():
+    # every exported name resolves; the test-only oracles live in tests/reference.py
+    for name in bncheck.__all__:
+        getattr(bncheck, name)
+    for name in ("full_spectrum", "make_named", "max_clique_bruteforce"):
+        assert name not in bncheck.__all__ and not hasattr(bncheck, name)
+    assert not hasattr(bncheck.Graph, "has_edge") and not hasattr(bncheck.Graph, "degree")
 
 
 def test_thresholds_subcommand(capsys):
@@ -39,6 +49,18 @@ def test_bounds_subcommand(capsys):
     assert data["clique_asymptote"] == pytest.approx(17.2877, abs=1e-3)
     assert data["theorem_lower_bound"] + data["hoeffding_tail"] == 1.0
     assert "n0" in data["thresholds"]
+
+
+def test_bound_subcommands_at_an_underflowing_p(capsys):
+    # eps * p * p rounds to 0: both commands report inf instead of a traceback
+    for p in ("1e-200", "5e-324"):
+        for eps in ("0.1", "0.5", "0.9"):
+            code, out, err = run(capsys, "thresholds", "--eps", eps, "--p", p)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["n0"] == math.inf
+            code, out, err = run(capsys, "bounds", "--n", "100", "--eps", eps, "--p", p)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["thresholds"]["m1"] == math.inf
 
 
 def test_check_p3(tmp_path, capsys):

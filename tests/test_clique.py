@@ -26,17 +26,18 @@ from bncheck import (
     check_proof_events,
     derive_trial_seed,
     is_clique,
-    make_named,
     max_clique,
-    max_clique_bruteforce,
     sample_gnp,
 )
 from bncheck import _kernel
+from reference import make_named, max_clique_bruteforce
 from strategies import symmetric_matrices
 
 # n at and around the 64-bit word edges of the kernel's bitsets
 WORD_EDGES = (1, 2, 63, 64, 65, 127, 128, 129)
 SRC = str(Path(bncheck.__file__).parents[1])
+# K5 in a subprocess, which cannot import the tests' reference module
+K5_SOURCE = "Graph([[int(i != j) for j in range(5)] for i in range(5)])"
 
 
 def _drawn(g):
@@ -176,7 +177,7 @@ def test_monotone_under_edge_addition():
         n = rng.randint(5, 14)
         g = sample_gnp(GnpParams(n, 0.4, seed=rng.getrandbits(63)))
         non_edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if not g.has_edge(i, j)
+            (i, j) for i in range(n) for j in range(i + 1, n) if not g.matrix[i, j]
         ]
         if not non_edges:
             continue
@@ -235,7 +236,7 @@ def test_witness_is_always_maximal():
         members = set(r.witness)
         for v in range(g.n):
             if v not in members:
-                assert not all(g.has_edge(v, w) for w in r.witness)
+                assert not all(g.matrix[v, w] for w in r.witness)
 
 
 @pytest.mark.parametrize("n", [2048, 4096])
@@ -324,7 +325,7 @@ def test_kernel_compiles_once_into_the_cache(tmp_path):
         f'#!/bin/sh\necho "$@" >> {shlex.quote(str(log))}\nexec {shlex.quote(shutil.which("cc"))} "$@"\n'
     )
     wrapper.chmod(0o755)
-    code = "from bncheck import make_named, max_clique; print(max_clique(make_named('complete', 5)).omega)"
+    code = f"from bncheck import Graph, max_clique; print(max_clique({K5_SOURCE}).omega)"
     for _ in range(2):
         done = _run_python(["-c", code], tmp_path / "cache", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
         assert done.returncode == 0, done.stderr
@@ -366,7 +367,7 @@ def test_import_neither_compiles_nor_loads_the_kernel(tmp_path):
 
 @pytest.mark.parametrize("call", [
     "sample_gnp(GnpParams(5, 0.5, seed=1))",
-    "max_clique(make_named('complete', 5))",
+    pytest.param(f"max_clique({K5_SOURCE})", id="max_clique(K5)"),
 ])
 def test_first_kernel_call_without_cc_names_the_compiler(tmp_path, call):
     no_compiler = tmp_path / "empty"

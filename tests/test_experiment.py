@@ -11,6 +11,7 @@ import threading
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,13 +28,12 @@ from bncheck import (
     derive_trial_seed,
     envelope_sides,
     envelope_thresholds,
-    make_named,
     run_monte_carlo,
     sample_gnp,
 )
 from bncheck import experiment
 from bncheck.experiment import CSV_HEADER, _inequality_check
-from reference import gnp_edge_mask
+from reference import gnp_edge_mask, make_named
 
 
 def test_p3_equality_case():
@@ -86,6 +86,24 @@ def test_star_equality_cases_not_misreported():
         chk = check_conjecture(g)
         assert chk.holds, (b, chk)
         assert abs(chk.slack) < 1e-9
+
+
+def test_every_atlas_graph_on_two_to_seven_vertices():
+    # networkx's atlas holds every graph on up to 7 vertices (1,251 on 2-7). Only
+    # the 6 complete graphs may violate; 26 others have float lhs > rhs by at most
+    # 5.3e-15 and hold only through EQUALITY_TOL.
+    checked, violations = 0, []
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n < 2:
+            continue
+        chk = check_conjecture(Graph.from_edges(n, h.edges()))
+        assert chk.omega == max(len(c) for c in nx.find_cliques(h)), nx.to_edgelist(h)
+        if not chk.holds:
+            violations.append((n, chk.e))
+        checked += 1
+    assert checked == 1251
+    assert violations == [(n, n * (n - 1) // 2) for n in range(2, 8)]
 
 
 def test_check_requires_two_vertices():
