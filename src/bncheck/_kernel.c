@@ -1,6 +1,7 @@
 /* bncheck's compiled kernel, loaded through ctypes by _kernel.py: the G(n,p)
- * draw, the smallest-last vertex order and the exact maximum clique search.
- * None of the three keeps state between calls.
+ * draw, the CSR matvec of the Lanczos route, the smallest-last vertex order
+ * and the exact maximum clique search. None of the four keeps state between
+ * calls.
  *
  * The clique search is San Segundo et al.'s BBMC (Computers & OR 38, 2011):
  * vertices are relabelled in the order the caller gives, candidate sets are
@@ -45,6 +46,21 @@ void bn_draw_gnp(uint8_t *a, int64_t n, uint64_t seed, uint64_t threshold)
             x = (x ^ (x >> 27)) * MIX2;
             row[j] = (x ^ (x >> 31)) < threshold;
         }
+    }
+}
+
+/* y = A x for the n x n 0/1 matrix A stored as CSR with no data array: the
+ * ones of row i sit in columns indices[indptr[i]] .. indices[indptr[i + 1] - 1].
+ * Each row sums its entries of x in index order from 0.0, which is scipy's
+ * csr_matvec order with data 1.0, so y has the same bits. */
+void bn_csr_matvec(const int32_t *indptr, const int32_t *indices, int64_t n, const double *x,
+                   double *y)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double sum = 0.0;
+        for (int32_t k = indptr[i]; k < indptr[i + 1]; k++)
+            sum += x[indices[k]];
+        y[i] = sum;
     }
 }
 

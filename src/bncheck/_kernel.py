@@ -1,5 +1,6 @@
 """Loader of the compiled kernel, _kernel.c: the G(n,p) draw (used by `graph`),
-and the smallest-last order and the exact clique search (used by `clique`).
+the CSR matvec of the Lanczos route (used by `spectral`), and the smallest-last
+order and the exact clique search (used by `clique`).
 
 The C file is compiled with `cc` on the first call of `library()` and cached
 in $XDG_CACHE_HOME/bncheck (default ~/.cache/bncheck) under a name that hashes
@@ -24,7 +25,7 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 
 @cache
 def library() -> ctypes.CDLL:
-    """The kernel, compiled on first use, with the argument types of its three
+    """The kernel, compiled on first use, with the argument types of its four
     entry points set.
 
     Each process (and thread) compiles to a temporary name of its own and
@@ -72,6 +73,13 @@ def library() -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_uint64, ctypes.c_uint64,  # n, seed, threshold
     ]
     lib.bn_draw_gnp.restype = None
+    int32s = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    lib.bn_csr_matvec.argtypes = [
+        int32s, int32s, ctypes.c_int64,  # indptr, indices, n
+        np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS"),  # x
+        np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE")),  # y
+    ]
+    lib.bn_csr_matvec.restype = None
     lib.bn_degeneracy_order.argtypes = [matrix, ctypes.c_int64, out_vertices]
     lib.bn_degeneracy_order.restype = ctypes.c_int64
     lib.bn_max_clique.argtypes = [

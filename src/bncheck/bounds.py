@@ -70,6 +70,13 @@ def admissible_p_max(eps: float) -> float:
     return (1.0 - eps) ** 2 / (1.0 + 2.0 * eps)
 
 
+def _log_inverse(p: float) -> float:
+    """log(1/p), also once 1/p overflows (p below about 5.6e-309), where it
+    is -log(p); at every other p it is math.log(1.0 / p) to the bit."""
+    inverse = 1.0 / p
+    return math.log(inverse) if inverse < math.inf else -math.log(p)
+
+
 def _overflow_to_inf(fn) -> float:
     """fn(), or inf when it overflows or divides by a denominator that
     underflowed to 0 (eps * p * p once p is below about 5e-162)."""
@@ -91,7 +98,7 @@ def envelope_thresholds(params: BoundParams) -> ThresholdReport:
     m2 = _overflow_to_inf(lambda: (3.0 * c0 * c0 / (eps * p * p)) ** 3)
     root = 1.0 - math.sqrt(1.0 - eps)
     m3 = 1.0 / root
-    m4 = _overflow_to_inf(lambda: math.exp(math.log(1.0 / p) / (root * 2.0 * (1.0 - eps))))
+    m4 = _overflow_to_inf(lambda: math.exp(_log_inverse(p) / (root * 2.0 * (1.0 - eps))))
     n0_prime = max(m0, m1, m2)
     n0_double_prime = max(m3, m4)
     p_max = admissible_p_max(eps)
@@ -121,7 +128,7 @@ def envelope_sides(n: float, params: BoundParams) -> tuple[float, float]:
         + 4.0 * c0 * math.sqrt(p * (1.0 - p)) * n ** (5.0 / 6.0) * log_n
         + c0 * c0 * n ** (2.0 / 3.0) * log_n * log_n
     )
-    rhs = p * (1.0 - eps) * n * (n - 1.0) * (1.0 - math.log(1.0 / p) / (2.0 * (1.0 - eps) * log_n))
+    rhs = p * (1.0 - eps) * n * (n - 1.0) * (1.0 - _log_inverse(p) / (2.0 * (1.0 - eps) * log_n))
     return lhs, rhs
 
 
@@ -149,7 +156,7 @@ def clique_asymptote(n: int, p: float) -> float:
         raise ValueError("clique asymptote needs n >= 2")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    return 2.0 * math.log(n) / math.log(1.0 / p)
+    return 2.0 * math.log(n) / _log_inverse(p)
 
 
 def hoeffding_edge_tail(n: int, p: float, eps: float) -> float:

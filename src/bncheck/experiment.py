@@ -35,7 +35,13 @@ from multiprocessing import get_context
 from numbers import Integral, Real
 from pathlib import Path
 
-from .bounds import BoundParams, envelope_sides, hoeffding_edge_tail, theorem_lower_bound
+from .bounds import (
+    BoundParams,
+    _log_inverse,
+    envelope_sides,
+    hoeffding_edge_tail,
+    theorem_lower_bound,
+)
 from .clique import max_clique
 from .errors import UncertifiedCliqueError
 from .graph import GnpParams, Graph, derive_trial_seed, sample_gnp
@@ -107,7 +113,7 @@ def _event_triple(check: InequalityCheck, params: BoundParams) -> EventTriple:
     n = check.n
     x_lhs = check.lhs
     x_rhs = envelope_sides(n, params)[0]
-    y_lhs = 1.0 - math.log(1.0 / params.p) / (2.0 * (1.0 - params.eps) * math.log(n))
+    y_lhs = 1.0 - _log_inverse(params.p) / (2.0 * (1.0 - params.eps) * math.log(n))
     y_rhs = 1.0 - 1.0 / check.omega
     z_lhs = (1.0 - params.eps) * params.p * n * (n - 1) / 2.0
     z_rhs = float(check.e)

@@ -7,11 +7,13 @@ from the OpenBLAS bundled with numpy; the top two of numpy's full `eigh` when
 numpy bundles none, or when dsyevr returns no pair). The iterative route, used
 above that limit, is a Lanczos iteration with full reorthogonalization for the
 largest eigenpair, followed by a rank-one deflation shift and a second Lanczos
-run for the second largest.
-It multiplies by a scipy.sparse CSR copy of A when 2e <= n^2 / SPARSE_DIVISOR,
-and by a dense float64 copy otherwise. Every reported eigenvalue comes with an
-explicitly computed residual ||A v - lambda v||_2, checked against
-DEFAULT_TOL * max(1, lambda1).
+run for the second largest. Each step takes the top Ritz pair from LAPACK
+dstebz and dstein of the same OpenBLAS (numpy's `eigh` of the tridiagonal
+without it).
+It multiplies by an int32 CSR pattern of A (the kernel's matvec) when
+2e <= n^2 / SPARSE_DIVISOR, and by a dense float64 copy otherwise. Every
+reported eigenvalue comes with an explicitly computed residual
+||A v - lambda v||_2, checked against DEFAULT_TOL * max(1, lambda1).
 
 The dense route and the CSR side of the Lanczos route run on one OpenBLAS
 thread, so their results do not depend on the BLAS thread count and pool
@@ -34,6 +36,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import _kernel
 from .errors import ConvergenceError
 from .graph import Graph, _splitmix64_outputs
 
@@ -61,18 +64,36 @@ class SpectralSummary:
     method: str  # "dense" or "iterative"
 
 
+@dataclass(frozen=True)
+class CsrPattern:
+    """An n x n 0/1 matrix as CSR with no data array: the ones of row i sit in
+    columns indices[indptr[i]:indptr[i + 1]], ascending. `pattern @ x` is the
+    float64 product with a vector, with the bits of scipy's CSR product."""
+
+    indptr: np.ndarray  # int32, n + 1 entries
+    indices: np.ndarray  # int32
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = len(self.indptr) - 1
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.shape != (n,):  # the kernel reads x[indices[k]] unchecked
+            raise ValueError(f"an n = {n} CsrPattern needs a vector of length {n}, not {x.shape}")
+        y = np.empty(n)
+        _kernel.library().bn_csr_matvec(self.indptr, self.indices, n, x, y)
+        return y
+
+
 def adjacency_matrix(g: Graph, sparse: bool = False):
-    """Float64 copy of the graph's adjacency matrix: a dense ndarray, or with
-    `sparse` a scipy.sparse CSR array with sorted indices."""
+    """The graph's adjacency matrix: a dense float64 ndarray, or with `sparse`
+    its `CsrPattern`."""
     if sparse:
-        from scipy.sparse import csr_array  # slow to load; only the Lanczos route needs it
-        # One scan of the flat bool view, about 6x faster than csr_array's 2-D
-        # nonzero: entry k is row k // n and column k % n, so row i starts at
-        # the first entry >= i * n. The arrays are the ones csr_array builds.
+        # One scan of the flat bool view, about 6x faster than a 2-D nonzero:
+        # entry k is row k // n and column k % n, so row i starts at the first
+        # entry >= i * n.
         n = g.n
         flat = np.flatnonzero(g.matrix.view(bool))
         indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
-        return csr_array((np.ones(len(flat)), (flat % n).astype(np.int32), indptr), shape=(n, n))
+        return CsrPattern(indptr, (flat % n).astype(np.int32))
     return g.matrix.astype(np.float64)
 
 
@@ -88,12 +109,15 @@ class _OpenBLAS:
     get_threads: Callable[[], int]
     set_threads: Callable[[int], None]
     dsyevr: Callable[..., int]  # LAPACKE_dsyevr
+    dstebz: Callable[..., int]  # LAPACKE_dstebz
+    dstein: Callable[..., int]  # LAPACKE_dstein
     lapack_int: type  # c_int64 in the 64-bit integer builds, else c_int
 
 
 @cache
 def _openblas() -> _OpenBLAS | None:
-    """The thread count get/set pair and LAPACKE_dsyevr of numpy's OpenBLAS.
+    """The thread count get/set pair and LAPACKE_dsyevr, _dstebz and _dstein
+    of numpy's OpenBLAS.
 
     numpy wheels ship it in numpy.libs (numpy/.dylibs on macOS); its symbols
     carry a "scipy_" prefix and a "64_" suffix in the 64-bit integer builds.
@@ -110,15 +134,17 @@ def _openblas() -> _OpenBLAS | None:
             for suffix in ("64_", ""):
                 get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
                 set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                dsyevr = getattr(lib, f"{prefix}LAPACKE_dsyevr{suffix}", None)
-                if get is None or set_ is None or dsyevr is None:
+                dsyevr, dstebz, dstein = (getattr(lib, f"{prefix}LAPACKE_{name}{suffix}", None)
+                                          for name in ("dsyevr", "dstebz", "dstein"))
+                if None in (get, set_, dsyevr, dstebz, dstein):
                     continue
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 lapack_int = ctypes.c_int64 if suffix else ctypes.c_int
                 doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+                ints = np.ctypeslib.ndpointer(np.dtype(lapack_int), flags="C_CONTIGUOUS")
                 int_ptr = ctypes.POINTER(lapack_int)
-                dsyevr.restype = lapack_int
+                dsyevr.restype = dstebz.restype = dstein.restype = lapack_int
                 dsyevr.argtypes = [
                     ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout, jobz, range, uplo
                     lapack_int, doubles, lapack_int,  # n, a, lda
@@ -126,7 +152,18 @@ def _openblas() -> _OpenBLAS | None:
                     ctypes.c_double, int_ptr, doubles, doubles, lapack_int,  # abstol, m, w, z, ldz
                     int_ptr,  # isuppz
                 ]
-                return _OpenBLAS(get, set_, dsyevr, lapack_int)
+                dstebz.argtypes = [
+                    ctypes.c_char, ctypes.c_char, lapack_int,  # range, order, n
+                    ctypes.c_double, ctypes.c_double, lapack_int, lapack_int,  # vl, vu, il, iu
+                    ctypes.c_double, doubles, doubles,  # abstol, d, e
+                    int_ptr, int_ptr, doubles, ints, ints,  # m, nsplit, w, iblock, isplit
+                ]
+                dstein.argtypes = [
+                    ctypes.c_int, lapack_int, doubles, doubles,  # layout, n, d, e
+                    lapack_int, doubles, ints, ints,  # m, w, iblock, isplit
+                    doubles, lapack_int, ints,  # z, ldz, ifailv
+                ]
+                return _OpenBLAS(get, set_, dsyevr, dstebz, dstein, lapack_int)
     return None
 
 
@@ -187,20 +224,29 @@ def _top_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarr
     matrix with diagonal `d` and off-diagonal `e`.
 
     These are the LAPACK calls that scipy's eigh_tridiagonal(select="i") makes,
-    bisection (dstebz) then inverse iteration (dstein), without its per-call
-    argument checks, which cost more than the calls at the Lanczos sizes.
+    bisection (dstebz) then inverse iteration (dstein), through LAPACKE of the
+    OpenBLAS bundled with numpy; the top pair of numpy's `eigh` of the k x k
+    matrix when numpy bundles none.
     """
-    from scipy.linalg.lapack import dstebz, dstein  # slow to load; only n > DENSE_LIMIT needs it
     k = len(d)
     if k == 1:
         return float(d[0]), np.ones(1)
-    m, w, block, split, info = dstebz(d, e, 2, 0.0, 1.0, k, k, 0.0, "B")
+    blas = _openblas()
+    if blas is None:
+        w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        return float(w[-1]), v[:, -1]
+    m, nsplit = blas.lapack_int(), blas.lapack_int()
+    w = np.zeros(k)  # dstein NaN-checks all k entries, not only the m found
+    iblock, isplit = np.empty(k, blas.lapack_int), np.empty(k, blas.lapack_int)
+    info = blas.dstebz(b"I", b"B", k, 0.0, 1.0, k, k, 0.0, d, e, m, nsplit, w, iblock, isplit)
     if info != 0:
-        raise ConvergenceError(f"LAPACK dstebz failed with info {info}", math.inf)
-    v, info = dstein(d, e, w[:m], block, split)
+        raise ConvergenceError(f"LAPACKE_dstebz failed with info {info}", math.inf)
+    z = np.empty((m.value, k))  # column-major k x m, leading dimension k
+    info = blas.dstein(_LAPACK_COL_MAJOR, k, d, e, m.value, w, iblock, isplit, z, k,
+                       np.empty(m.value, blas.lapack_int))
     if info != 0:
-        raise ConvergenceError(f"LAPACK dstein failed with info {info}", math.inf)
-    return float(w[0]), v[:, 0]
+        raise ConvergenceError(f"LAPACKE_dstein failed with info {info}", math.inf)
+    return float(w[0]), z[0]
 
 
 def _lanczos_largest(

@@ -4,7 +4,9 @@ import pytest
 
 from bncheck import (
     BoundParams,
+    Graph,
     admissible_p_max,
+    check_proof_events,
     clique_asymptote,
     envelope_sides,
     envelope_thresholds,
@@ -198,6 +200,21 @@ def test_clique_asymptote():
         clique_asymptote(1, 0.5)
     with pytest.raises(ValueError):
         clique_asymptote(400, 0.0)
+
+
+def test_log_of_one_over_p_survives_subnormal_p():
+    # 1.0 / p overflows to inf below p ~ 5.6e-309, which made the clique
+    # asymptote 0.0 and the envelope rhs NaN (0 x -inf)
+    p = 5e-324
+    assert clique_asymptote(100, p) == pytest.approx(2 * math.log(100) / 744.44, rel=1e-5)
+    _, rhs = envelope_sides(100, BoundParams(0.5, p))
+    assert not math.isnan(rhs)
+    assert envelope_thresholds(BoundParams(0.5, p)).m4 == math.inf
+    ev = check_proof_events(Graph.from_edges(10, [(0, 1)]), BoundParams(0.5, p))
+    assert ev.y_lhs == pytest.approx(1 - 744.44 / math.log(10), rel=1e-5) and ev.event_y is True
+    # at ordinary p the bits are those of math.log(1.0 / p)
+    for p in (0.5, 0.01, 1e-300, 5.6e-309, 1 - 1e-16):
+        assert clique_asymptote(100, p) == 2.0 * math.log(100) / math.log(1.0 / p)
 
 
 def test_hoeffding_tail_values():

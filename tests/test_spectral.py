@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import bncheck
 from bncheck import (
-    CapacityError,
     ConvergenceError,
     GnpParams,
     Graph,
@@ -23,9 +22,9 @@ from bncheck import (
 )
 from bncheck.spectral import (
     DEFAULT_TOL,
-    DENSE_LIMIT,
     MATVEC_CAP_FACTOR,
     SPARSE_DIVISOR,
+    CsrPattern,
     _lanczos_on_csr,
     _one_blas_thread,
     _openblas,
@@ -37,54 +36,9 @@ from reference import full_spectrum, make_named
 from strategies import symmetric_matrices
 
 
-def cycle_eigenvalues(n):
-    """2 cos(2 pi k / n), k = 0..n-1, the circulant closed form."""
-    return sorted((2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n)), reverse=True)
-
-
 def iterative(g):
     """The Lanczos route, forced below DENSE_LIMIT, at its default budget."""
     return _top_two_iterative(g, DEFAULT_TOL, MATVEC_CAP_FACTOR * g.n)
-
-
-def path_eigenvalues(n):
-    """2 cos(pi k / (n+1)), k = 1..n."""
-    return sorted((2.0 * math.cos(math.pi * k / (n + 1)) for k in range(1, n + 1)), reverse=True)
-
-
-def test_full_spectrum_empty():
-    assert full_spectrum(make_named("empty", 4)) == [0.0, 0.0, 0.0, 0.0]
-
-
-def test_full_spectrum_k4():
-    w = full_spectrum(make_named("complete", 4))
-    assert np.allclose(w, [3, -1, -1, -1], atol=1e-12)
-
-
-def test_full_spectrum_p3():
-    w = full_spectrum(make_named("path", 3))
-    assert np.allclose(w, [math.sqrt(2), 0.0, -math.sqrt(2)], atol=1e-12)
-    assert np.allclose(w, path_eigenvalues(3), atol=1e-12)
-
-
-def test_full_spectrum_c5():
-    w = full_spectrum(make_named("cycle", 5))
-    assert np.allclose(w, cycle_eigenvalues(5), atol=1e-12)
-    assert abs(w[1] - 0.618034) < 1e-6 and abs(w[3] + 1.618034) < 1e-6
-
-
-def test_full_spectrum_is_descending_and_consistent():
-    for seed in range(10):
-        g = sample_gnp(GnpParams(30, 0.4, seed=seed))
-        w = full_spectrum(g)
-        assert w == sorted(w, reverse=True)
-        assert abs(sum(w)) <= 1e-8  # zero trace
-        assert abs(sum(x * x for x in w) - 2 * g.edge_count) <= 1e-6 * max(1, 2 * g.edge_count)
-
-
-def test_full_spectrum_capacity():
-    with pytest.raises(CapacityError):
-        full_spectrum(make_named("empty", DENSE_LIMIT + 1))
 
 
 def test_top_two_requires_two_vertices():
@@ -202,7 +156,7 @@ def test_iterative_matches_dense(lanczos_operators):
         assert abs(it.lambda2 - dense.lambda2) <= 1e-7
         assert it.residual1 <= 1e-9 * max(1.0, it.lambda1)
         assert it.residual2 <= 1e-9 * max(1.0, it.lambda1)
-    assert set(lanczos_operators) == {"ndarray", "csr_array"}
+    assert set(lanczos_operators) == {"ndarray", "CsrPattern"}
 
 
 def test_iterative_handles_ties_and_degenerate_graphs():
@@ -220,7 +174,7 @@ def test_iterative_handles_ties_and_degenerate_graphs():
 def test_iterative_kicks_in_past_default_dense_limit(lanczos_operators):
     # n just over DENSE_LIMIT takes the Lanczos route, on either operator
     n = 2100
-    for p, operator in ((0.02, "csr_array"), (0.5, "ndarray")):
+    for p, operator in ((0.02, "CsrPattern"), (0.5, "ndarray")):
         g = sample_gnp(GnpParams(n, p, seed=60))
         s = top_two(g)
         assert s.method == "iterative"
@@ -256,8 +210,18 @@ def test_adjacency_matrix_round_trip():
     for i, j in g.edges():
         assert a[i, j] == 1.0 and a[j, i] == 1.0
     csr = adjacency_matrix(g, sparse=True)
-    assert csr.format == "csr" and csr.dtype == np.float64 and csr.has_sorted_indices
-    assert np.array_equal(csr.toarray(), a)
+    assert isinstance(csr, CsrPattern)
+    assert csr.indptr.dtype == csr.indices.dtype == np.int32 and len(csr.indptr) == 34
+    rows = np.repeat(np.arange(33), np.diff(csr.indptr))
+    dense = np.zeros((33, 33))
+    dense[rows, csr.indices] = 1.0
+    assert np.array_equal(dense, a)
+    assert all((np.diff(csr.indices[lo:hi]) > 0).all() for lo, hi in zip(csr.indptr, csr.indptr[1:]))
+    x = np.arange(33.0)
+    assert np.array_equal(csr @ x, a @ x)
+    for bad in (np.ones(32), np.ones((33, 1))):
+        with pytest.raises(ValueError):
+            csr @ bad
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,10 +234,15 @@ def test_csr_arrays_are_the_ones_csr_array_builds(drawn):
 
     g = Graph(drawn[0])
     ours, theirs = adjacency_matrix(g, sparse=True), csr_array(g.matrix.view(bool), dtype=np.float64)
-    assert ours.shape == theirs.shape and ours.has_sorted_indices == theirs.has_sorted_indices
-    for name in ("indptr", "indices", "data"):
+    assert theirs.has_sorted_indices
+    for name in ("indptr", "indices"):
         mine, scipys = getattr(ours, name), getattr(theirs, name)
         assert mine.dtype == scipys.dtype and np.array_equal(mine, scipys)
+    # the kernel's matvec has the bits of scipy's CSR product; entries of
+    # mixed magnitude make the bits depend on the summation order
+    rng = np.random.default_rng(g.n)
+    x = rng.standard_normal(g.n) * 2.0 ** rng.integers(-30, 30, g.n)
+    assert np.array_equal(ours @ x, theirs @ x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,11 +268,14 @@ def test_lanczos_operator_rule_is_density_only():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg takes longer to load than many whole trials; only the
-    # Lanczos route (n > DENSE_LIMIT) needs it
+    # scipy.linalg takes longer to load than many whole trials, so bncheck
+    # imports no scipy module, on the Lanczos route (n > DENSE_LIMIT) either
     src = str(Path(bncheck.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, bncheck; sys.exit(int('scipy' in sys.modules))"
+    code = ("import sys, bncheck\n"
+            "assert bncheck.top_two(bncheck.sample_gnp(bncheck.GnpParams(2049, 0.01, seed=1)))"
+            ".method == 'iterative'\n"
+            "sys.exit(int(any(name.split('.')[0] == 'scipy' for name in sys.modules)))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -313,7 +285,7 @@ def test_openblas_found_when_numpy_bundles_it():
     if "scipy-openblas" not in blas:
         pytest.skip(f"numpy is built against {blas}")
     blas = _openblas()
-    assert blas is not None and blas.dsyevr is not None
+    assert blas is not None and None not in (blas.dsyevr, blas.dstebz, blas.dstein)
 
 
 @pytest.fixture
@@ -445,7 +417,7 @@ def test_csr_lanczos_pins_one_blas_thread_and_the_dense_side_does_not(blas_threa
     monkeypatch.setattr(bncheck.spectral, "_lanczos_top_two", counting)
     iterative(sample_gnp(GnpParams(100, 0.05, seed=1)))
     iterative(sample_gnp(GnpParams(100, 0.5, seed=1)))
-    assert seen == [("csr_array", 1), ("ndarray", 2)]
+    assert seen == [("CsrPattern", 1), ("ndarray", 2)]
     assert get() == 2
 
 
@@ -473,6 +445,30 @@ def test_dense_route_without_openblas_is_not_pinned(monkeypatch):
     assert repr(top_two(make_named("empty", 2)).lambda2) == "0.0"
     s = top_two(make_named("complete", 4))
     assert abs(s.lambda1 - 3) < 1e-12 and abs(s.lambda2 + 1) < 1e-12
+
+
+def test_lanczos_route_without_openblas_takes_eigh_of_the_tridiagonal(monkeypatch):
+    # without the bundled library each Lanczos step takes the top pair of
+    # numpy's eigh of the k x k tridiagonal
+    graphs = [sample_gnp(GnpParams(n, p, seed=n)) for n, p in ((40, 0.5), (90, 0.05))]
+    graphs += [two_disjoint_k4(), make_named("empty", 12)]
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(bncheck.spectral, "_openblas", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for g in graphs:
+        w = full_spectrum(g)
+        calls.clear()
+        s = iterative(g)
+        assert s.method == "iterative" and max(calls, default=1) < g.n
+        assert calls or g.edge_count == 0
+        assert abs(s.lambda1 - w[0]) <= 1e-8 and abs(s.lambda2 - w[1]) <= 1e-8
+        assert max(s.residual1, s.residual2) <= DEFAULT_TOL * max(1.0, s.lambda1)
 
 
 def test_concurrent_dense_calls_keep_the_pin(blas_threads_at_two, monkeypatch):
