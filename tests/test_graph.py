@@ -263,6 +263,32 @@ def test_derive_trial_seed_no_collisions_million():
     assert int(outs[123456]) == derive_trial_seed(0xDEADBEEF, 123456)
 
 
+def test_make_named_families():
+    assert make_named("complete", 4).edge_count == 6
+    c5 = make_named("cycle", 5)
+    assert c5.edge_count == 5
+    assert all(c5.matrix[v].sum() == 2 for v in range(5))
+    k12 = make_named("complete_bipartite", 3, a=1, b=2)
+    assert k12.edge_count == 2
+    assert sorted(k12.matrix[v].sum() for v in range(3)) == [1, 1, 2]
+    assert make_named("path", 1).edge_count == 0
+    assert make_named("path", 6).edge_count == 5
+    assert make_named("empty", 7).edge_count == 0
+
+
+def test_make_named_errors():
+    with pytest.raises(ValueError):
+        make_named("cycle", 2)
+    with pytest.raises(ValueError):
+        make_named("complete_bipartite", 4, a=1, b=2)
+    with pytest.raises(ValueError):
+        make_named("complete_bipartite", 4)
+    with pytest.raises(ValueError):
+        make_named("hypercube", 8)
+    with pytest.raises(ValueError):
+        make_named("empty", 0)
+
+
 def test_edge_count_examples(petersen):
     assert make_named("empty", 7).edge_count == 0
     assert make_named("complete", 6).edge_count == 15

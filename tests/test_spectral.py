@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import bncheck
 from bncheck import (
+    CapacityError,
     ConvergenceError,
     GnpParams,
     Graph,
@@ -22,6 +23,7 @@ from bncheck import (
 )
 from bncheck.spectral import (
     DEFAULT_TOL,
+    DENSE_LIMIT,
     MATVEC_CAP_FACTOR,
     SPARSE_DIVISOR,
     CsrPattern,
@@ -36,9 +38,54 @@ from reference import full_spectrum, make_named
 from strategies import symmetric_matrices
 
 
+def cycle_eigenvalues(n):
+    """2 cos(2 pi k / n), k = 0..n-1, the circulant closed form."""
+    return sorted((2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n)), reverse=True)
+
+
 def iterative(g):
     """The Lanczos route, forced below DENSE_LIMIT, at its default budget."""
     return _top_two_iterative(g, DEFAULT_TOL, MATVEC_CAP_FACTOR * g.n)
+
+
+def path_eigenvalues(n):
+    """2 cos(pi k / (n+1)), k = 1..n."""
+    return sorted((2.0 * math.cos(math.pi * k / (n + 1)) for k in range(1, n + 1)), reverse=True)
+
+
+def test_full_spectrum_empty():
+    assert full_spectrum(make_named("empty", 4)) == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_full_spectrum_k4():
+    w = full_spectrum(make_named("complete", 4))
+    assert np.allclose(w, [3, -1, -1, -1], atol=1e-12)
+
+
+def test_full_spectrum_p3():
+    w = full_spectrum(make_named("path", 3))
+    assert np.allclose(w, [math.sqrt(2), 0.0, -math.sqrt(2)], atol=1e-12)
+    assert np.allclose(w, path_eigenvalues(3), atol=1e-12)
+
+
+def test_full_spectrum_c5():
+    w = full_spectrum(make_named("cycle", 5))
+    assert np.allclose(w, cycle_eigenvalues(5), atol=1e-12)
+    assert abs(w[1] - 0.618034) < 1e-6 and abs(w[3] + 1.618034) < 1e-6
+
+
+def test_full_spectrum_is_descending_and_consistent():
+    for seed in range(10):
+        g = sample_gnp(GnpParams(30, 0.4, seed=seed))
+        w = full_spectrum(g)
+        assert w == sorted(w, reverse=True)
+        assert abs(sum(w)) <= 1e-8  # zero trace
+        assert abs(sum(x * x for x in w) - 2 * g.edge_count) <= 1e-6 * max(1, 2 * g.edge_count)
+
+
+def test_full_spectrum_capacity():
+    with pytest.raises(CapacityError):
+        full_spectrum(make_named("empty", DENSE_LIMIT + 1))
 
 
 def test_top_two_requires_two_vertices():
