@@ -365,10 +365,9 @@ def run_monte_carlo(config: MonteCarloConfig, *, threads: int = 1) -> MonteCarlo
     a call with another count replaces it, and a call that raises (a trial
     that raises, a worker that dies, Ctrl-C) shuts it down. Workers take the
     process environment when the pool starts, so BLAS variables set later in
-    the process do not reach them (only the Lanczos route's dense-operator
-    side, n > 2048 and 2e > n^2/8, depends on the BLAS thread count). Idle
-    workers keep the memory of their last trials and are joined at
-    interpreter exit.
+    the process do not reach them (no route's bytes depend on the bundled
+    OpenBLAS's thread count). Idle workers keep the memory of their last
+    trials and are joined at interpreter exit.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -9,18 +9,12 @@ above that limit, is a Lanczos iteration with full reorthogonalization for the
 largest eigenpair, followed by a rank-one deflation shift and a second Lanczos
 run for the second largest. Each step takes the top Ritz pair from LAPACK
 dstebz and dstein of the same OpenBLAS (numpy's `eigh` of the tridiagonal
-without it).
-It multiplies by an int32 CSR pattern of A (the kernel's matvec) when
-2e <= n^2 / SPARSE_DIVISOR, and by a dense float64 copy otherwise. Every
-reported eigenvalue comes with an explicitly computed residual
+without it), and multiplies by an int32 CSR pattern of A (the kernel's
+matvec). Every reported eigenvalue comes with an explicitly computed residual
 ||A v - lambda v||_2, checked against DEFAULT_TOL * max(1, lambda1).
 
-The dense route and the CSR side of the Lanczos route run on one OpenBLAS
-thread, so their results do not depend on the BLAS thread count and pool
-workers do not compete for cores. The dense-operator side of the Lanczos route
-keeps the thread count it finds: pinned to one thread on 2 vCPUs, its top_two
-took 2.2x as long at G(4096, 1/2) (1.15 -> 2.6 s) and 1.5-1.8x as long at
-G(2100, 1/2).
+Both routes run on one OpenBLAS thread, so their results do not depend on the
+BLAS thread count and pool workers do not compete for cores.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -41,10 +35,6 @@ from .errors import ConvergenceError
 from .graph import Graph, _splitmix64_outputs
 
 DENSE_LIMIT = 2048
-# Lanczos operator rule (see _lanczos_on_csr). At n = 2100 and 4096 the CSR
-# matvec wins up to a density 2e/n^2 of about 0.2 and loses 2-3x at 0.5, so
-# the rule stops well short of the crossover.
-SPARSE_DIVISOR = 8
 DEFAULT_TOL = 1e-9
 MATVEC_CAP_FACTOR = 50
 
@@ -93,13 +83,9 @@ def adjacency_matrix(g: Graph, sparse: bool = False):
         n = g.n
         flat = np.flatnonzero(g.matrix.view(bool))
         indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n)).astype(np.int32)
-        return CsrPattern(indptr, (flat % n).astype(np.int32))
+        # searchsorted has read flat, so the column indices may overwrite it
+        return CsrPattern(indptr, np.remainder(flat, n, out=flat).astype(np.int32))
     return g.matrix.astype(np.float64)
-
-
-def _lanczos_on_csr(g: Graph) -> bool:
-    """The Lanczos operator rule: CSR when 2e <= n^2 / SPARSE_DIVISOR, else dense."""
-    return 2 * g.edge_count * SPARSE_DIVISOR <= g.n * g.n
 
 
 @dataclass(frozen=True)
@@ -307,22 +293,15 @@ def _lanczos_largest(
 
 
 def _top_two_iterative(g: Graph, tol: float, max_matvecs: int) -> SpectralSummary:
-    """Lanczos route. The CSR side runs on one OpenBLAS thread (its BLAS work is
-    the small reorthogonalization products); the dense side keeps the count."""
-    sparse = _lanczos_on_csr(g)
-    with _one_blas_thread() if sparse else nullcontext():
-        return _lanczos_top_two(adjacency_matrix(g, sparse=sparse), g.n, tol, max_matvecs)
-
-
-def _lanczos_top_two(a, n: int, tol: float, max_matvecs: int) -> SpectralSummary:
-    def mv(x: np.ndarray) -> np.ndarray:
-        return a @ x
-
+    """Lanczos route, multiplying by the graph's CsrPattern (top_two runs it on
+    one OpenBLAS thread)."""
+    n = g.n
+    a = adjacency_matrix(g, sparse=True)
     ones = np.full(n, 1.0 / np.sqrt(n))
     # The all-ones vector always overlaps a Perron eigenvector of a top
     # component, so the first stage cannot miss lambda1. It runs at the
     # unscaled tol, which is at least as tight as the final contract.
-    lam1, v1, res1, used = _lanczos_largest(mv, n, ones, tol, max_matvecs)
+    lam1, v1, res1, used = _lanczos_largest(a.__matmul__, n, ones, tol, max_matvecs)
     tol_abs = tol * max(1.0, lam1)
 
     # Rank-one shift pushes the lambda1 direction below the whole spectrum
@@ -352,18 +331,18 @@ def top_two(g: Graph) -> SpectralSummary:
     """
     if g.n < 2:
         raise ValueError("top_two needs n >= 2 (lambda2 must exist)")
-    if g.n <= DENSE_LIMIT:
+    with _one_blas_thread():
+        if g.n > DENSE_LIMIT:
+            return _top_two_iterative(g, DEFAULT_TOL, MATVEC_CAP_FACTOR * g.n)
         a = adjacency_matrix(g)
         blas = _openblas()
-        with _one_blas_thread():
-            pairs = _dsyevr_top_two(blas, a) if blas is not None else None
-            w, v = pairs if pairs is not None else np.linalg.eigh(a)
-            w, v = w[-2:], v[:, -2:]
-            residuals = np.linalg.norm(a @ v - v * w, axis=0)
-        lam1, lam2 = float(w[1]) + 0.0, float(w[0]) + 0.0  # + 0.0 turns -0.0 into 0.0
-        res1, res2 = float(residuals[1]), float(residuals[0])
-        bound = DEFAULT_TOL * max(1.0, lam1)
-        if max(res1, res2) > bound:
-            raise ConvergenceError("dense eigensolver residual above tolerance", max(res1, res2))
-        return SpectralSummary(lam1, lam2, res1, res2, "dense")
-    return _top_two_iterative(g, DEFAULT_TOL, MATVEC_CAP_FACTOR * g.n)
+        pairs = _dsyevr_top_two(blas, a) if blas is not None else None
+        w, v = pairs if pairs is not None else np.linalg.eigh(a)
+        w, v = w[-2:], v[:, -2:]
+        residuals = np.linalg.norm(a @ v - v * w, axis=0)
+    lam1, lam2 = float(w[1]) + 0.0, float(w[0]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    res1, res2 = float(residuals[1]), float(residuals[0])
+    bound = DEFAULT_TOL * max(1.0, lam1)
+    if max(res1, res2) > bound:
+        raise ConvergenceError("dense eigensolver residual above tolerance", max(res1, res2))
+    return SpectralSummary(lam1, lam2, res1, res2, "dense")

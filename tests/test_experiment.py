@@ -288,17 +288,18 @@ def test_monte_carlo_determinism_and_files(tmp_path):
 
 
 def test_monte_carlo_bytes_independent_of_blas_threads(tmp_path):
-    # At n >= 300 a second BLAS thread used to move the last digit of
-    # lambda1 and lhs; the dense route (n = 300) and the CSR side of the
-    # Lanczos route (n = 2100, sparse) now always run on one.
+    # A second BLAS thread used to move the last digits of lambda1 and lhs
+    # at n >= 300, and of lambda2 at G(2100, 0.13), where the Lanczos route
+    # multiplied by a dense matrix (2e/n^2 ~ 0.13 > 1/8). The dense route
+    # (n = 300) and the Lanczos route (n = 2100) at any density now run on one.
     src = str(Path(bncheck.__file__).parents[1])
     blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     unset = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    for n, p, trials in ((300, 0.1, 4), (2100, 0.01, 2)):
+    for n, p, trials in ((300, 0.1, 4), (2100, 0.01, 2), (2100, 0.13, 1)):
         csvs = {}
         for blas, env in (("unset", unset), ("1", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
             for threads in ("1", "2"):
-                out = tmp_path / f"n{n}-blas{blas}-threads{threads}"
+                out = tmp_path / f"n{n}-p{p}-blas{blas}-threads{threads}"
                 cfg = tmp_path / f"{out.name}.json"
                 cfg.write_text(json.dumps({"n": n, "p": p, "trials": trials, "seed": 5,
                                            "out_dir": str(out)}))

@@ -25,9 +25,7 @@ from bncheck.spectral import (
     DEFAULT_TOL,
     DENSE_LIMIT,
     MATVEC_CAP_FACTOR,
-    SPARSE_DIVISOR,
     CsrPattern,
-    _lanczos_on_csr,
     _one_blas_thread,
     _openblas,
     _top_tridiagonal_pair,
@@ -174,23 +172,8 @@ def test_lambda1_bounds():
             assert s.lambda1 >= 1 - 1e-9
 
 
-@pytest.fixture
-def lanczos_operators(monkeypatch):
-    """Type names of the operators the Lanczos route multiplies by."""
-    lanczos = bncheck.spectral._lanczos_top_two
-    seen = []
-
-    def recording(a, *args):
-        seen.append(type(a).__name__)
-        return lanczos(a, *args)
-
-    monkeypatch.setattr(bncheck.spectral, "_lanczos_top_two", recording)
-    return seen
-
-
-def test_iterative_matches_dense(lanczos_operators):
-    # spec-level consistency sweep: 50 random graphs, 64 <= n <= 256, with
-    # densities on both sides of the Lanczos operator rule
+def test_iterative_matches_dense():
+    # spec-level consistency sweep: 50 random graphs, 64 <= n <= 256
     rng = random.Random(314)
     for _ in range(50):
         n = rng.randint(64, 256)
@@ -203,7 +186,6 @@ def test_iterative_matches_dense(lanczos_operators):
         assert abs(it.lambda2 - dense.lambda2) <= 1e-7
         assert it.residual1 <= 1e-9 * max(1.0, it.lambda1)
         assert it.residual2 <= 1e-9 * max(1.0, it.lambda1)
-    assert set(lanczos_operators) == {"ndarray", "CsrPattern"}
 
 
 def test_iterative_handles_ties_and_degenerate_graphs():
@@ -218,14 +200,13 @@ def test_iterative_handles_ties_and_degenerate_graphs():
     assert abs(s.lambda1 - 20) < 1e-7 and abs(s.lambda2) < 1e-7
 
 
-def test_iterative_kicks_in_past_default_dense_limit(lanczos_operators):
-    # n just over DENSE_LIMIT takes the Lanczos route, on either operator
+def test_iterative_kicks_in_past_default_dense_limit():
+    # n just over DENSE_LIMIT takes the Lanczos route, sparse or dense
     n = 2100
-    for p, operator in ((0.02, "CsrPattern"), (0.5, "ndarray")):
+    for p in (0.02, 0.5):
         g = sample_gnp(GnpParams(n, p, seed=60))
         s = top_two(g)
         assert s.method == "iterative"
-        assert lanczos_operators[-1] == operator
         assert s.residual1 <= 1e-9 * max(1.0, s.lambda1)
         assert s.residual2 <= 1e-9 * max(1.0, s.lambda1)
         assert s.lambda2 <= s.lambda1 <= n - 1
@@ -303,15 +284,6 @@ def test_top_tridiagonal_pair_is_eigh_tridiagonals_bit_for_bit(entries):
     w, v = eigh_tridiagonal(d, e, select="i", select_range=(k, k))
     theta, ritz = _top_tridiagonal_pair(d, e)
     assert theta == float(w[0]) and np.array_equal(ritz, v[:, 0])
-
-
-def test_lanczos_operator_rule_is_density_only():
-    # CSR exactly when at most 1/SPARSE_DIVISOR of the n^2 entries are ones
-    n = 64
-    for e, sparse in ((0, True), (n * n // (2 * SPARSE_DIVISOR), True),
-                      (n * n // (2 * SPARSE_DIVISOR) + 1, False), (n * (n - 1) // 2, False)):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][:e]
-        assert _lanczos_on_csr(Graph.from_edges(n, pairs)) is sparse
 
 
 def test_import_leaves_scipy_unloaded():
@@ -451,21 +423,25 @@ def test_nested_pin_does_not_deadlock(blas_threads_at_two):
     assert get() == 2
 
 
-def test_csr_lanczos_pins_one_blas_thread_and_the_dense_side_does_not(blas_threads_at_two,
-                                                                     monkeypatch):
+def test_lanczos_route_pins_one_blas_thread_and_restores_the_count(blas_threads_at_two,
+                                                                  monkeypatch):
+    # every Lanczos matvec, sparse or dense graph, multiplies by the CSR
+    # pattern on one BLAS thread
     get = blas_threads_at_two
-    lanczos = bncheck.spectral._lanczos_top_two
+    matvec = CsrPattern.__matmul__
     seen = []
 
-    def counting(a, *args):
-        seen.append((type(a).__name__, get()))
-        return lanczos(a, *args)
+    def counting(a, x):
+        seen.append(get())
+        return matvec(a, x)
 
-    monkeypatch.setattr(bncheck.spectral, "_lanczos_top_two", counting)
-    iterative(sample_gnp(GnpParams(100, 0.05, seed=1)))
-    iterative(sample_gnp(GnpParams(100, 0.5, seed=1)))
-    assert seen == [("CsrPattern", 1), ("ndarray", 2)]
-    assert get() == 2
+    monkeypatch.setattr(bncheck.spectral, "DENSE_LIMIT", 64)
+    monkeypatch.setattr(CsrPattern, "__matmul__", counting)
+    for p in (0.05, 0.5):
+        seen.clear()
+        assert top_two(sample_gnp(GnpParams(100, p, seed=1))).method == "iterative"
+        assert seen and set(seen) == {1}, p
+        assert get() == 2
 
 
 def test_dense_route_without_openblas_is_not_pinned(monkeypatch):
