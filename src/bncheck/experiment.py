@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -42,10 +41,10 @@ from .bounds import (
     hoeffding_edge_tail,
     theorem_lower_bound,
 )
-from .clique import max_clique
+from .clique import CliqueResult, max_clique
 from .errors import UncertifiedCliqueError
 from .graph import GnpParams, Graph, derive_trial_seed, sample_gnp
-from .spectral import DENSE_LIMIT, top_two
+from .spectral import DENSE_LIMIT, SpectralSummary, top_two
 
 EQUALITY_TOL = 1e-9
 
@@ -132,24 +131,21 @@ def _event_triple(check: InequalityCheck, params: BoundParams) -> EventTriple:
 
 def _measure(
     g: Graph, clique_time_budget: float | None
-) -> tuple[InequalityCheck, bool, float, float]:
-    """Measure g once: the inequality's sides, whether omega is certified, and
-    the seconds spent in `top_two` and in `max_clique`."""
-    t0 = time.perf_counter()
-    summary = top_two(g)
-    t1 = time.perf_counter()
+) -> tuple[InequalityCheck, SpectralSummary, CliqueResult]:
+    """Measure g once: the inequality's sides, with `top_two`'s and
+    `max_clique`'s results whole."""
+    spectral = top_two(g)
     clique = max_clique(g, time_budget=clique_time_budget)
-    t2 = time.perf_counter()
-    check = _inequality_check(g.n, g.edge_count, clique.omega, summary.lambda1, summary.lambda2)
-    return check, not clique.time_limited, t1 - t0, t2 - t1
+    check = _inequality_check(g.n, g.edge_count, clique.omega, spectral.lambda1, spectral.lambda2)
+    return check, spectral, clique
 
 
 def check_conjecture(g: Graph, *, clique_time_budget: float | None = None) -> InequalityCheck:
     """Evaluate the inequality on g with certified omega and residual-checked
     eigenvalues. Raises ValueError for n < 2, and UncertifiedCliqueError if the
     clique search times out."""
-    check, certified, _, _ = _measure(g, clique_time_budget)
-    if not certified:
+    check, _, clique = _measure(g, clique_time_budget)
+    if not clique.certified:
         raise UncertifiedCliqueError("clique search hit its time budget; omega not certified")
     return check
 
@@ -232,9 +228,8 @@ class TrialRow:
     seed: int
     check: InequalityCheck
     events: EventTriple
-    certified: bool
-    spectral_seconds: float
-    clique_seconds: float
+    spectral: SpectralSummary
+    clique: CliqueResult
 
     def csv_line(self, p: float) -> str:
         c, ev = self.check, self.events
@@ -255,7 +250,7 @@ class TrialRow:
             _csv_bool(ev.event_y),
             _csv_bool(ev.event_z),
             _csv_bool(c.is_complete),
-            _csv_bool(self.certified),
+            _csv_bool(self.clique.certified),
         ]
         return ",".join(cells)
 
@@ -268,15 +263,14 @@ def _run_trial(config: MonteCarloConfig, trial: int) -> TrialRow:
     """One trial: sample, measure, compare. Pure in (config, trial)."""
     seed = derive_trial_seed(config.seed, trial)
     g = sample_gnp(GnpParams(config.n, config.p, seed))
-    check, certified, spectral_seconds, clique_seconds = _measure(g, config.clique_time_budget)
+    check, spectral, clique = _measure(g, config.clique_time_budget)
     return TrialRow(
         trial=trial,
         seed=seed,
         check=check,
         events=_event_triple(check, BoundParams(config.eps, config.p, config.c0)),
-        certified=certified,
-        spectral_seconds=spectral_seconds,
-        clique_seconds=clique_seconds,
+        spectral=spectral,
+        clique=clique,
     )
 
 
@@ -356,8 +350,11 @@ def run_monte_carlo(config: MonteCarloConfig, *, threads: int = 1) -> MonteCarlo
     """Run the harness: `trials` independent draws, per-trial CSV rows plus an
     aggregate JSON, both written under out_dir (if set) in trial order.
 
-    Trials are pure functions of (master seed, trial index, config), so the
-    rows, and therefore the output bytes, are independent of the worker count.
+    Each row holds the trial's index and seed, its `InequalityCheck` and
+    `EventTriple`, and `top_two`'s and `max_clique`'s results whole; the CSV
+    line is a projection of it. Trials are pure functions of (master seed,
+    trial index, config), so the rows, and therefore the output bytes, are
+    independent of the worker count.
 
     With threads > 1 the trials run on a pool of that many spawned worker
     processes. The pool is started by the first such call and kept for later
@@ -392,10 +389,10 @@ def run_monte_carlo(config: MonteCarloConfig, *, threads: int = 1) -> MonteCarlo
         min_slack=min(r.check.slack for r in rows),
         theorem_lower_bound=theorem_lower_bound(config.n, config.p, config.eps),
         hoeffding_tail=hoeffding_edge_tail(config.n, config.p, config.eps),
-        invalid_trials=sum(1 for r in rows if not r.certified),
+        invalid_trials=sum(1 for r in rows if not r.clique.certified),
         complete_draws=sum(1 for r in rows if r.check.is_complete),
         violating_noncomplete=sum(
-            1 for r in rows if r.certified and not r.check.holds and not r.check.is_complete
+            1 for r in rows if r.clique.certified and not r.check.holds and not r.check.is_complete
         ),
     )
     if config.out_dir is not None:

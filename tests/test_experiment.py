@@ -28,8 +28,11 @@ from bncheck import (
     derive_trial_seed,
     envelope_sides,
     envelope_thresholds,
+    is_clique,
+    max_clique,
     run_monte_carlo,
     sample_gnp,
+    top_two,
 )
 from bncheck import experiment
 from bncheck.experiment import CSV_HEADER, _inequality_check
@@ -184,6 +187,8 @@ def test_checker_matches_harness_rows(n, p, seed):
         g = sample_gnp(GnpParams(n, p, derive_trial_seed(seed, k)))
         assert check_conjecture(g) == row.check
         assert check_proof_events(g, params) == row.events
+        assert row.spectral == top_two(g)
+        assert row.clique == max_clique(g)
 
 
 def test_config_from_dict():
@@ -328,12 +333,14 @@ def no_kept_pool():
 
 def _run_bytes(out_dir, threads):
     """trials.csv and aggregate.json of one G(50, 1/2) x 60 run, with the
-    echoed out_dir blanked."""
-    run_monte_carlo(
+    echoed out_dir blanked, and the report's rows: records with no wall-clock
+    value, so equal across worker counts as objects as well as bytes."""
+    report = run_monte_carlo(
         MonteCarloConfig(n=50, p=0.5, trials=60, seed=23, out_dir=str(out_dir)), threads=threads
     )
     aggregate = (out_dir / "aggregate.json").read_bytes()
-    return (out_dir / "trials.csv").read_bytes(), aggregate.replace(str(out_dir).encode(), b"")
+    csv = (out_dir / "trials.csv").read_bytes()
+    return csv, aggregate.replace(str(out_dir).encode(), b""), report.rows
 
 
 def _worker_pids():
@@ -421,7 +428,14 @@ def test_monte_carlo_invalid_trials_flagged():
     )
     report = run_monte_carlo(cfg)
     assert report.invalid_trials >= 1
-    assert any(not r.certified for r in report.rows)
+    uncertified = [r for r in report.rows if not r.clique.certified]
+    assert len(uncertified) == report.invalid_trials
+    for r in uncertified:
+        assert r.clique.time_limited
+        # omega is then only a lower bound, but its witness is a real clique of that size
+        g = sample_gnp(GnpParams(cfg.n, cfg.p, r.seed))
+        assert is_clique(g, r.clique.witness)
+        assert len(r.clique.witness) == r.check.omega
 
 
 def test_edge_mass_event_never_fails_at_tiny_tail():
