@@ -128,7 +128,7 @@ def envelope_sides(n: float, params: BoundParams) -> tuple[float, float]:
         + 4.0 * c0 * math.sqrt(p * (1.0 - p)) * n ** (5.0 / 6.0) * log_n
         + c0 * c0 * n ** (2.0 / 3.0) * log_n * log_n
     )
-    rhs = p * (1.0 - eps) * n * (n - 1.0) * (1.0 - _log_inverse(p) / (2.0 * (1.0 - eps) * log_n))
+    rhs = p * n * (n - 1.0) * (1.0 - eps) * (1.0 - _log_inverse(p) / (2.0 * (1.0 - eps) * log_n))
     return lhs, rhs
 
 

@@ -14,7 +14,7 @@ class ParseError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative eigensolver exhausted its budget; carries the best residual reached."""
+    """An eigensolver failed or missed its residual bound; carries the best residual reached."""
 
     def __init__(self, message: str, best_residual: float):
         super().__init__(f"{message} (best residual {best_residual:.3e})")

@@ -10,8 +10,9 @@ largest eigenpair, followed by a rank-one deflation shift and a second Lanczos
 run for the second largest. Each step takes the top Ritz pair from LAPACK
 dstebz and dstein of the same OpenBLAS (numpy's `eigh` of the tridiagonal
 without it), and multiplies by an int32 CSR pattern of A (the kernel's
-matvec). Every reported eigenvalue comes with an explicitly computed residual
-||A v - lambda v||_2, checked against DEFAULT_TOL * max(1, lambda1).
+matvec). Both routes end in one certificate step, which computes each
+residual ||A v - lambda v||_2 from the two pairs returned, on the route's own
+operator, and checks it against DEFAULT_TOL * max(1, lambda1).
 
 Both routes run on one OpenBLAS thread, so their results do not depend on the
 BLAS thread count and pool workers do not compete for cores.
@@ -241,24 +242,22 @@ def _lanczos_largest(
     start: np.ndarray,
     tol_abs: float,
     budget: int,
-) -> tuple[float, np.ndarray, float, int]:
+) -> tuple[float, np.ndarray, int]:
     """Algebraically largest eigenpair of a symmetric operator.
 
     Lanczos with full reorthogonalization (two classical Gram-Schmidt passes
-    per step) to suppress ghost copies. Returns (theta, y, residual, matvecs).
-    A breakdown (beta ~ 0) means the Krylov space closed on an invariant
-    subspace, where the Ritz pair is exact. Raises ConvergenceError with the
-    best residual if the matvec budget runs out first.
+    per step) to suppress ghost copies. Returns (theta, y, matvecs), the last
+    Ritz pair: once its residual is at most tol_abs, on a breakdown (beta ~ 0,
+    an invariant subspace, where the pair is exact) or on a full Krylov space;
+    top_two's certificate decides. Raises ConvergenceError with the smallest
+    residual seen if the matvec budget runs out first.
     """
     basis = np.empty((min(budget, n) + 1, n))
     alphas: list[float] = []
     betas: list[float] = []
-    q = start / np.linalg.norm(start)
-    basis[0] = q
+    basis[0] = start / np.linalg.norm(start)
     used = 0
-    best_theta = 0.0
     best_res = np.inf
-    best_y = q
     while used < budget:
         k = len(alphas)
         w = matvec(basis[k])
@@ -273,23 +272,31 @@ def _lanczos_largest(
         beta = float(np.linalg.norm(w))
 
         theta, ritz = _top_tridiagonal_pair(np.asarray(alphas), np.asarray(betas))
-        scale = max(1.0, abs(theta))
-        breakdown = beta <= 1e-14 * scale * n
-        est = abs(beta * ritz[-1])
-        if breakdown or est <= tol_abs:
+        done = beta <= 1e-14 * max(1.0, abs(theta)) * n or k + 1 >= n
+        if done or abs(beta * ritz[-1]) <= tol_abs:
             y = basis[: k + 1].T @ ritz
             y /= np.linalg.norm(y)
+            if done:
+                return theta, y, used
             res = float(np.linalg.norm(matvec(y) - theta * y))
             used += 1
-            if res < best_res:
-                best_theta, best_res, best_y = theta, res, y
-            if breakdown or res <= tol_abs:
-                return best_theta, best_y, best_res, used
-        if breakdown or k + 1 >= n:
-            return best_theta, best_y, best_res, used
+            if res <= tol_abs:
+                return theta, y, used
+            best_res = min(best_res, res)
         basis[k + 1] = w / beta
         betas.append(beta)
     raise ConvergenceError("Lanczos matvec budget exhausted", best_res)
+
+
+def _certified(a, w, v: np.ndarray, tol: float, method: str) -> SpectralSummary:
+    """Top two eigenvalues `w` (ascending) and eigenvectors (columns of `v`)
+    with residuals ||a v - lambda v||_2 on the route's operator `a`; raises
+    ConvergenceError if either is above tol * max(1, lambda1)."""
+    lam2, lam1 = (float(x) + 0.0 for x in w)  # + 0.0 turns -0.0 into 0.0
+    res2, res1 = (float(np.linalg.norm(a @ x - lam * x)) for lam, x in zip((lam2, lam1), v.T))
+    if max(res1, res2) > tol * max(1.0, lam1):
+        raise ConvergenceError(f"{method} eigensolver residual above tolerance", max(res1, res2))
+    return SpectralSummary(lam1, lam2, res1, res2, method)
 
 
 def _top_two_iterative(g: Graph, tol: float, max_matvecs: int) -> SpectralSummary:
@@ -301,7 +308,7 @@ def _top_two_iterative(g: Graph, tol: float, max_matvecs: int) -> SpectralSummar
     # The all-ones vector always overlaps a Perron eigenvector of a top
     # component, so the first stage cannot miss lambda1. It runs at the
     # unscaled tol, which is at least as tight as the final contract.
-    lam1, v1, res1, used = _lanczos_largest(a.__matmul__, n, ones, tol, max_matvecs)
+    lam1, v1, used = _lanczos_largest(a.__matmul__, n, ones, tol, max_matvecs)
     tol_abs = tol * max(1.0, lam1)
 
     # Rank-one shift pushes the lambda1 direction below the whole spectrum
@@ -313,21 +320,17 @@ def _top_two_iterative(g: Graph, tol: float, max_matvecs: int) -> SpectralSummar
         return a @ x - (shift * (v1 @ x)) * v1
 
     start2 = _pseudo_random_unit(n, _START_SEED)
-    lam2, v2, _, _ = _lanczos_largest(mv_deflated, n, start2, tol_abs, max_matvecs - used)
+    lam2, v2, _ = _lanczos_largest(mv_deflated, n, start2, tol_abs, max_matvecs - used)
     v2 -= (v1 @ v2) * v1
     v2 /= np.linalg.norm(v2)
-    res2 = float(np.linalg.norm(a @ v2 - lam2 * v2))
-    if res2 > tol_abs:
-        raise ConvergenceError("deflated Lanczos residual above tolerance", res2)
-    lam2 = min(lam2, lam1)
-    return SpectralSummary(lam1, lam2, res1, res2, "iterative")
+    return _certified(a, (min(lam2, lam1), lam1), np.column_stack([v2, v1]), tol, "iterative")
 
 
 def top_two(g: Graph) -> SpectralSummary:
     """The two algebraically largest adjacency eigenvalues with residuals.
 
-    Dense route for n <= DENSE_LIMIT, Lanczos-with-deflation route above it,
-    same residual contract either way.
+    Dense route for n <= DENSE_LIMIT, Lanczos-with-deflation route above it;
+    both end in the same residual certificate.
     """
     if g.n < 2:
         raise ValueError("top_two needs n >= 2 (lambda2 must exist)")
@@ -338,11 +341,4 @@ def top_two(g: Graph) -> SpectralSummary:
         blas = _openblas()
         pairs = _dsyevr_top_two(blas, a) if blas is not None else None
         w, v = pairs if pairs is not None else np.linalg.eigh(a)
-        w, v = w[-2:], v[:, -2:]
-        residuals = np.linalg.norm(a @ v - v * w, axis=0)
-    lam1, lam2 = float(w[1]) + 0.0, float(w[0]) + 0.0  # + 0.0 turns -0.0 into 0.0
-    res1, res2 = float(residuals[1]), float(residuals[0])
-    bound = DEFAULT_TOL * max(1.0, lam1)
-    if max(res1, res2) > bound:
-        raise ConvergenceError("dense eigensolver residual above tolerance", max(res1, res2))
-    return SpectralSummary(lam1, lam2, res1, res2, "dense")
+        return _certified(a, w[-2:], v[:, -2:], DEFAULT_TOL, "dense")

@@ -207,8 +207,10 @@ def test_log_of_one_over_p_survives_subnormal_p():
     # asymptote 0.0 and the envelope rhs NaN (0 x -inf)
     p = 5e-324
     assert clique_asymptote(100, p) == pytest.approx(2 * math.log(100) / 744.44, rel=1e-5)
-    _, rhs = envelope_sides(100, BoundParams(0.5, p))
-    assert not math.isnan(rhs)
+    for eps in (0.1, 0.5, 0.9):
+        # p * (1 - eps) alone underflows to 0, and the rhs read -0.0
+        _, rhs = envelope_sides(100, BoundParams(eps, p))
+        assert not math.isnan(rhs) and rhs < 0
     assert envelope_thresholds(BoundParams(0.5, p)).m4 == math.inf
     ev = check_proof_events(Graph.from_edges(10, [(0, 1)]), BoundParams(0.5, p))
     assert ev.y_lhs == pytest.approx(1 - 744.44 / math.log(10), rel=1e-5) and ev.event_y is True

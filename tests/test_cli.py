@@ -61,6 +61,7 @@ def test_bound_subcommands_at_an_underflowing_p(capsys):
             code, out, err = run(capsys, "bounds", "--n", "100", "--eps", eps, "--p", p)
             assert (code, err) == (0, "")
             assert json.loads(out)["thresholds"]["m1"] == math.inf
+            assert json.loads(out)["envelope_rhs"] < 0
 
 
 def test_check_p3(tmp_path, capsys):

@@ -404,6 +404,22 @@ def test_dense_route_checks_the_residual_of_both_pairs(pair, monkeypatch):
         top_two(sample_gnp(GnpParams(40, 0.5, seed=3)))
 
 
+@pytest.mark.parametrize("stage", [0, 1])  # 0 finds lambda1, 1 the deflated lambda2
+def test_lanczos_route_checks_the_residual_of_both_pairs(stage, monkeypatch):
+    lanczos = bncheck.spectral._lanczos_largest
+    calls = []
+
+    def shifted(*args):
+        theta, *rest = lanczos(*args)  # rest: this pair's vector and the matvec count
+        calls.append(theta)
+        return (theta + 1e-6 if len(calls) - 1 == stage else theta, *rest)
+
+    monkeypatch.setattr(bncheck.spectral, "_lanczos_largest", shifted)
+    with pytest.raises(ConvergenceError):
+        top_two(sample_gnp(GnpParams(DENSE_LIMIT + 1, 0.01, seed=1)))
+    assert len(calls) == 2
+
+
 def test_nested_pin_does_not_deadlock(blas_threads_at_two):
     get = blas_threads_at_two
     g = sample_gnp(GnpParams(40, 0.5, seed=3))
